@@ -1,16 +1,90 @@
 """End-to-end command-line checks: outputs, determinism, exit codes."""
 
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import pytest
 
 from amenlab.cli import main
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "cli_golden.json"
+
+# Cheap commands covering every subcommand and every spec family; their
+# stdout is frozen in data/cli_golden.json.  After an intended output change,
+# regenerate the file from the repository root with
+#     PYTHONPATH=src python tests/test_cli.py
+GOLDEN_COMMANDS = [
+    "growth --group free:2 --radius 3",
+    "growth --group z:2 --radius 3 --format json",
+    "growth --group zmod:3,4 --radius 4",
+    "growth --group lamplighter --radius 4",
+    "growth --group dihedral --radius 4 --format json",
+    "growth --group cayley:grigorchuk --radius 4",
+    "growth --group basilica --radius 1",
+    "growth --group orbit:grigorchuk:depth=3 --radius 5",
+    "folner --group z:1 --radius 6 --fol 1",
+    "folner --gset coset:f2 --radius 4",
+    "folner --group z:2 --radius 3 --mode anneal --seed 7 --epsilon 1/4 "
+    "--steps 200",
+    "folner --gset orbit:basilica:depth=2 --radius 4 --mode exhaustive "
+    "--epsilon 1/2",
+    "walk return --group free:2 --steps 6",
+    "walk return --gset coset:f2 --steps 6",
+    "walk return --group zmod:3 --steps 5 --precision float",
+    "walk rho --group lamplighter --steps 6",
+    "walk truncated --group dihedral --radius 4",
+    "walk truncated --group free:2 --radius 3",
+    "walk invorbit --group z:1 --steps 4 --trials 50 --seed 1",
+    "walk return --gset orbit:basilica:depth=3 --steps 4",
+    "cogrowth counts --group z:2 --length 6",
+    "cogrowth counts --group coset:f2 --length 6 --format csv",
+    "cogrowth report --group free:2 --length 8 --rho-lower 0.8",
+    "cogrowth series --group zmod:5 --length 8",
+    "ca step --rule life --pattern {data}/blinker.json --steps 2",
+    "ca goe --rule and:z --radius 1",
+    "ca mep --rule life --radius 0",
+    "ca entropy --rule xor:z --radius 1",
+    "paradox verify --radius 3",
+    "paradox map --word x1_x2^-1",
+    "paradox preimages --word x1 --radius 3",
+    "topfull language --length 3",
+    "topfull search --length 3",
+    "graph --group z:1 --radius 2",
+    "graph --gset coset:f2 --radius 2",
+    "graph --group cayley:free:2 --radius 1",
+    "graph --group cayley:basilica --radius 1",
+    "graph --gset orbit:grigorchuk:depth=2 --radius 2",
+]
+
+
+def _argv(command):
+    """Split a corpus command; "_" inside an argument stands for a space."""
+    return [arg.replace("_", " ").format(data=DATA)
+            for arg in command.split()]
+
+
+def _golden_stdout(command):
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = main(_argv(command))
+    assert code == 0, command
+    return buffer.getvalue()
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_golden_corpus_is_byte_identical():
+    golden = json.loads(GOLDEN.read_text())
+    assert sorted(golden) == sorted(GOLDEN_COMMANDS)
+    for command in GOLDEN_COMMANDS:
+        assert _golden_stdout(command) == golden[command], command
 
 
 class TestGrowth:
@@ -169,3 +243,9 @@ class TestGraph:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["radius"] == 1
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(
+        {command: _golden_stdout(command) for command in GOLDEN_COMMANDS},
+        indent=1, sort_keys=True) + "\n")

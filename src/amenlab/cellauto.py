@@ -56,6 +56,8 @@ class ZdSpace:
 
     def ball(self, radius: int) -> List:
         """Chebyshev ball (box window), sorted; the whole group on a torus."""
+        if radius < 0:
+            raise ValidationError("radius must be >= 0")
         if self.mods is not None:
             return sorted(product(*(range(m) for m in self.mods)))
         check_vertex_count((2 * radius + 1) ** self.dim, "site window")
@@ -101,6 +103,8 @@ class InvolutionProductSpace:
         return step[::-1]
 
     def ball(self, radius: int) -> List[str]:
+        if radius < 0:
+            raise ValidationError("radius must be >= 0")
         out = [""]
         frontier = [""]
         for _ in range(radius):

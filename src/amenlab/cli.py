@@ -53,8 +53,6 @@ def _resolve_gset(args):
     spec = getattr(args, "gset", None) or getattr(args, "group", None)
     if spec is None:
         raise ValidationError("a --group or --gset spec is required")
-    if not spec.startswith(("cayley:", "orbit:")) and spec != "coset:f2":
-        spec = f"cayley:{spec}"
     return make_gset(spec)
 
 
@@ -153,14 +151,25 @@ def _load_rule(name: str) -> cellauto.LocalRule:
     return _RULES[name]()
 
 
-def _load_pattern(rule: cellauto.LocalRule, path: str) -> cellauto.CellPattern:
-    with open(path) as handle:
-        payload = json.load(handle)
-    values = {}
-    for cell in payload["cells"]:
-        site = cell["site"]
-        key = tuple(site) if isinstance(site, list) else site
-        values[key] = cell["value"]
+def _load_pattern(rule: cellauto.LocalRule,
+                  path: Optional[str]) -> cellauto.CellPattern:
+    if path is None:
+        raise ValidationError("step needs --pattern")
+    try:
+        with open(path) as handle:
+            payload = json.load(handle)
+        values = {}
+        for cell in payload["cells"]:
+            site = cell["site"]
+            key = tuple(site) if isinstance(site, list) else site
+            values[key] = cell["value"]
+    except OSError as error:
+        raise ValidationError(f"cannot read pattern {path!r}: {error.strerror}")
+    except (ValueError, KeyError, TypeError):
+        raise ValidationError(
+            f"pattern {path!r} must be JSON of the form "
+            '{"cells": [{"site": ..., "value": ...}, ...]}'
+        )
     return cellauto.CellPattern(rule.space, values)
 
 

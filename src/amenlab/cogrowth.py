@@ -56,7 +56,7 @@ def reduced_closed_counts(spec: str, n: int) -> CogrowthCounts:
     """c(k) for k <= n by dynamic programming over (element, last letter)."""
     if n < 0:
         raise ValidationError("length bound must be >= 0")
-    gset = _resolve(spec)
+    gset = make_gset(spec)
     letters = _directed_letters(gset)
     inverse = {(g, s): (g, -s) for g, s in letters}
     # state: (vertex key, last formal letter) -> number of reduced words
@@ -151,7 +151,7 @@ def series_identity_check(spec: str, n: int) -> dict:
 
     The residual is reported coefficient by coefficient and must be exactly 0.
     """
-    gset = _resolve(spec)
+    gset = make_gset(spec)
     letters = _directed_letters(gset)
     s_pm = len(letters)
     q = s_pm - 1
@@ -197,12 +197,6 @@ def _closed_walk_counts(gset: MarkedGSet, letters, n: int) -> List[int]:
         check_vertex_count(len(current), "walk counting")
         out.append(current.get(gset.base_key, 0))
     return out
-
-
-def _resolve(spec: str) -> MarkedGSet:
-    if spec.startswith(("cayley:", "orbit:")) or spec == "coset:f2":
-        return make_gset(spec)
-    return make_gset(f"cayley:{spec}")
 
 
 def report_json(payload: dict) -> str:

@@ -10,13 +10,12 @@ Registered families:
 * ``z:d``         free abelian group of rank d
 * ``lamplighter`` (Z/2) wr Z, generators a (lamp toggle, involution), t (move)
 * ``dihedral``    infinite dihedral group, two involutions x, y
-* ``coset:f2``    the free group F2 marked for the coset action H\\F2
 * ``zmod:n[,m,...]``  finite product of cyclic groups Z/n x Z/m x ...
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Collection, Iterable, Optional, Sequence, Tuple
 
 from .errors import ValidationError
 
@@ -27,14 +26,38 @@ _FREE_NAMES = "abcdefghijklmnopqrstuvwxyz"
 _ABELIAN_NAMES = ["x", "y", "z", "w"]
 
 
-def _free_reduce(letters: Iterable[Letter]) -> Word:
+def _free_reduce(letters: Iterable[Letter],
+                 involutions: Collection[int] = ()) -> Word:
+    """Cancel adjacent inverse letters; a repeated letter of a generator in
+    ``involutions`` cancels too (callers write those letters with sign +1)."""
     stack: list[Letter] = []
     for gen, sign in letters:
-        if stack and stack[-1][0] == gen and stack[-1][1] == -sign:
+        if stack and stack[-1][0] == gen and (stack[-1][1] == -sign
+                                              or gen in involutions):
             stack.pop()
         else:
             stack.append((gen, sign))
     return tuple(stack)
+
+
+def tokenize(text: str, names: Sequence[str]) -> Word:
+    """Letters of space-separated tokens ``name`` or ``name^exp``; "1" is the
+    identity.  Letters are (index in ``names``, sign); nothing cancels."""
+    out: list[Letter] = []
+    for token in text.split():
+        if token == "1":
+            continue
+        name, _, exp_text = token.partition("^")
+        if name not in names:
+            raise ValidationError(f"unknown generator {name!r}")
+        gen = names.index(name)
+        try:
+            exp = int(exp_text) if exp_text else 1
+        except ValueError:
+            raise ValidationError(f"bad exponent in token {token!r}")
+        sign = 1 if exp >= 0 else -1
+        out.extend((gen, sign) for _ in range(abs(exp)))
+    return tuple(out)
 
 
 class LamplighterElement:
@@ -97,8 +120,6 @@ class MarkedGroup:
             return MarkedGroup("lamplighter", 2, ["a", "t"], [True, False])
         if spec == "dihedral":
             return MarkedGroup("dihedral", 2, ["x", "y"], [True, True])
-        if spec == "coset:f2":
-            return MarkedGroup("coset-f2", 2, ["a", "b"], [False, False])
         if spec.startswith("zmod:"):
             try:
                 mods = [int(part) for part in spec[5:].split(",")]
@@ -133,25 +154,8 @@ class MarkedGroup:
         return ((index, sign),)
 
     def parse(self, text: str) -> Word:
-        """Parse space-separated tokens ``name`` or ``name^exp``; "1" = identity."""
-        out: list[Letter] = []
-        for token in text.split():
-            if token == "1":
-                continue
-            name, _, exp_text = token.partition("^")
-            if name not in self.names:
-                raise ValidationError(f"unknown generator {name!r}")
-            gen = self.names.index(name)
-            if exp_text:
-                try:
-                    exp = int(exp_text)
-                except ValueError:
-                    raise ValidationError(f"bad exponent in token {token!r}")
-            else:
-                exp = 1
-            sign = 1 if exp >= 0 else -1
-            out.extend((gen, sign) for _ in range(abs(exp)))
-        return self.normal_form(tuple(out))
+        """Normal form of a word written as for ``tokenize``."""
+        return self.normal_form(tokenize(text, self.names))
 
     def show(self, word: Word) -> str:
         if not word:
@@ -176,36 +180,19 @@ class MarkedGroup:
 
     def normal_form(self, word: Word) -> Word:
         self.validate(word)
-        if self.family in ("free", "coset-f2"):
+        if self.family == "free":
             return _free_reduce(word)
-        if self.family == "z":
-            exps = [0] * self.rank
-            for gen, sign in word:
-                exps[gen] += sign
+        if self.family in ("z", "zmod"):
             out: list[Letter] = []
-            for gen, e in enumerate(exps):
+            for gen, e in enumerate(self._exponents(word)):
                 sign = 1 if e >= 0 else -1
                 out.extend((gen, sign) for _ in range(abs(e)))
-            return tuple(out)
-        if self.family == "zmod":
-            exps = [0] * self.rank
-            for gen, sign in word:
-                exps[gen] = (exps[gen] + sign) % self.mods[gen]
-            out = []
-            for gen, e in enumerate(exps):
-                out.extend((gen, 1) for _ in range(e))
             return tuple(out)
         if self.family == "lamplighter":
             elt = self.lamplighter_element(word)
             return self._lamplighter_word(elt)
-        if self.family == "dihedral":
-            stack: list[int] = []
-            for gen, _sign in word:  # both generators are involutions
-                if stack and stack[-1] == gen:
-                    stack.pop()
-                else:
-                    stack.append(gen)
-            return tuple((gen, 1) for gen in stack)
+        if self.family == "dihedral":  # both generators are involutions
+            return _free_reduce(((gen, 1) for gen, _sign in word), (0, 1))
         raise ValidationError(f"no normal form for family {self.family}")
 
     def lamplighter_element(self, word: Word) -> LamplighterElement:
@@ -276,37 +263,22 @@ class MarkedGroup:
         if self.family == "lamplighter":
             elt = self.lamplighter_element(word)
             return (tuple(sorted(elt.lamp_support)), elt.position)
-        if self.family == "z":
-            exps = [0] * self.rank
-            for gen, sign in word:
-                exps[gen] += sign
-            return tuple(exps)
-        if self.family == "zmod":
-            exps = [0] * self.rank
-            for gen, sign in word:
-                exps[gen] = (exps[gen] + sign) % self.mods[gen]
-            return tuple(exps)
+        if self.family in ("z", "zmod"):
+            return tuple(self._exponents(word))
         return self.normal_form(word)
+
+    def _exponents(self, word: Word) -> list:
+        """Exponent sum of each generator, reduced mod its order for zmod."""
+        exps = [0] * self.rank
+        for gen, sign in word:
+            exps[gen] += sign
+        if self.mods is not None:
+            exps = [e % m for e, m in zip(exps, self.mods)]
+        return exps
 
     def length(self, word: Word) -> int:
         """Word length metric: letter count of the normal form."""
         return len(self.normal_form(word))
-
-    # -- graph plumbing -----------------------------------------------
-
-    def edge_letters(self) -> Tuple[Letter, ...]:
-        """Symmetrized generator letters: one per involution, two otherwise."""
-        out: list[Letter] = []
-        for gen in range(self.rank):
-            out.append((gen, 1))
-            if not self.involutions[gen]:
-                out.append((gen, -1))
-        return tuple(out)
-
-    def letter_name(self, letter: Letter) -> str:
-        gen, sign = letter
-        name = self.names[gen]
-        return name if sign == 1 else f"{name}^-1"
 
     def __repr__(self):
         return f"MarkedGroup({self.family}, rank={self.rank})"

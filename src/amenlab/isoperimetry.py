@@ -88,8 +88,7 @@ class FolnerReport:
 
 def growth_series(spec: str, n: int) -> GrowthSeries:
     """v(k) = #B(k) for 0 <= k <= n, via ball construction."""
-    gset = make_gset(spec if ":" in spec and spec.startswith(("cayley", "orbit"))
-                     else f"cayley:{spec}")
+    gset = make_gset(spec)
     graph = build_ball(gset, n)
     counts = [0] * (n + 1)
     for depth in graph.depths.values():
@@ -265,7 +264,7 @@ def csc_check(spec: str, n: int, radius: Optional[int] = None,
     """Check Fol(n) >= v(n)/2 on the given group family."""
     if radius is None:
         radius = n + 2
-    gset = make_gset(f"cayley:{spec}")
+    gset = make_gset(spec)
     graph = build_ball(gset, radius)
     fol = fol_exact(graph, n, size_cap=size_cap)
     if fol is None:

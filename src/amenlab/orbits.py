@@ -5,12 +5,14 @@ action of the generators.  ``build_ball`` materializes the labeled ball around
 the basepoint; ``boundary_edges`` counts outgoing edges, refusing sets that
 touch the outer BFS shell (whose neighborhoods are unknown).
 
-Registered specs:
+Registered specs (``make_gset`` is the one resolver every entry point uses):
 
 * ``cayley:<group>``     regular action on itself (any registered group,
-                         including ``grigorchuk`` and ``basilica``)
+                         including ``grigorchuk`` and ``basilica``); a bare
+                         group spec ``<group>`` means ``cayley:<group>``
 * ``orbit:<family>:depth=<d>[:base=<w>]``  action on tree level d
-* ``coset:f2``           H\\F2 with H = <b^m a b^-m : m >= 0>
+* ``coset:f2``           H\\F2 with H = <b^m a b^-m : m >= 0>, marked by the
+                         generators a, b of ``free:2``
 
 The coset action uses the fact that the subgroup graph of H folds to a b-ray
 with an a-loop at every vertex; hence canonical coset keys are b^k (k >= 0)
@@ -25,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import selfsim
 from .errors import CapExceeded, ValidationError, check_vertex_count
-from .groups import Letter, MarkedGroup, Word, _free_reduce
+from .groups import Letter, MarkedGroup, Word, _free_reduce, _parse_rank
 
 
 class MarkedGSet:
@@ -69,20 +71,6 @@ class MarkedGSet:
     def letter_name(self, letter: Letter) -> str:
         gen, sign = letter
         return self.names[gen] if sign == 1 else f"{self.names[gen]}^-1"
-
-    def parse_word(self, text: str) -> Word:
-        out: list[Letter] = []
-        for token in text.split():
-            if token == "1":
-                continue
-            name, _, exp_text = token.partition("^")
-            if name not in self.names:
-                raise ValidationError(f"unknown generator {name!r}")
-            gen = self.names.index(name)
-            exp = int(exp_text) if exp_text else 1
-            sign = 1 if exp >= 0 else -1
-            out.extend((gen, sign) for _ in range(abs(exp)))
-        return tuple(out)
 
     def __repr__(self):
         return f"MarkedGSet({self.spec!r})"
@@ -191,11 +179,11 @@ def coset_contains(word: Word) -> bool:
 # -- gset construction ------------------------------------------------------
 
 def make_gset(spec: str) -> MarkedGSet:
+    """The G-set named by ``spec``; its ``.spec`` is the ``cayley:`` form of a
+    bare group spec."""
     spec = spec.strip()
-    if spec.startswith("cayley:"):
-        return _make_cayley(spec, spec[len("cayley:"):])
     if spec == "coset:f2":
-        group = MarkedGroup.from_spec("coset:f2")
+        group = MarkedGroup.from_spec("free:2")
 
         def act(key, letter):
             return coset_canonical(key + (letter,))
@@ -207,10 +195,9 @@ def make_gset(spec: str) -> MarkedGSet:
         )
     if spec.startswith("orbit:"):
         return _make_orbit(spec)
-    raise ValidationError(f"unknown gset spec {spec!r}")
-
-
-def _make_cayley(spec: str, group_spec: str) -> MarkedGSet:
+    if not spec.startswith("cayley:"):
+        spec = f"cayley:{spec}"
+    group_spec = spec[len("cayley:"):]
     if group_spec in (selfsim.GRIGORCHUK, selfsim.BASILICA):
         return _make_selfsim_cayley(spec, group_spec)
     group = MarkedGroup.from_spec(group_spec)
@@ -222,6 +209,22 @@ def _make_cayley(spec: str, group_spec: str) -> MarkedGSet:
         spec, group.names, group.involutions, group.identity, act,
         show_key=group.show, group=group,
     )
+
+
+def _selfsim_family(family: str):
+    """Generator names, involution flags and the element of each letter of a
+    self-similar family; each generator and its inverse is built once."""
+    if family == selfsim.GRIGORCHUK:
+        names, make = ("a", "b", "c", "d"), selfsim.grigorchuk
+    elif family == selfsim.BASILICA:
+        names, make = ("a", "b"), selfsim.basilica
+    else:
+        raise ValidationError(f"unknown self-similar family {family!r}")
+    elements = {}
+    for gen, name in enumerate(names):
+        elements[(gen, 1)] = make(name)
+        elements[(gen, -1)] = elements[(gen, 1)].inverse()
+    return names, (family == selfsim.GRIGORCHUK,) * len(names), elements
 
 
 class _SelfsimCanonicalizer:
@@ -253,26 +256,14 @@ class _SelfsimCanonicalizer:
 
 
 def _make_selfsim_cayley(spec: str, family: str) -> MarkedGSet:
-    if family == selfsim.GRIGORCHUK:
-        names = ("a", "b", "c", "d")
-        involutions = (True, True, True, True)
-        depth = 8
-        gens = [selfsim.grigorchuk(n) for n in names]
-    else:
-        names = ("a", "b")
-        involutions = (False, False)
-        depth = 12
-        gens = [selfsim.basilica(n) for n in names]
-    canonicalizer = _SelfsimCanonicalizer(family, depth)
-    identity = canonicalizer.canon(
-        selfsim.grigorchuk("") if family == selfsim.GRIGORCHUK
-        else selfsim.basilica("")
-    )
+    names, involutions, elements = _selfsim_family(family)
+    canonicalizer = _SelfsimCanonicalizer(
+        family, 8 if family == selfsim.GRIGORCHUK else 12)
+    # the first generator times its inverse: the identity
+    identity = canonicalizer.canon(elements[(0, 1)] * elements[(0, -1)])
 
     def act(key, letter):
-        gen, sign = letter
-        step = gens[gen] if sign == 1 else gens[gen].inverse()
-        return canonicalizer.canon(key * step)
+        return canonicalizer.canon(key * elements[letter])
 
     return MarkedGSet(
         spec, names, involutions, identity, act,
@@ -285,37 +276,26 @@ def _make_orbit(spec: str) -> MarkedGSet:
     if len(parts) < 3:
         raise ValidationError(f"bad orbit spec {spec!r}")
     family = parts[1]
-    if family not in (selfsim.GRIGORCHUK, selfsim.BASILICA):
-        raise ValidationError(f"unknown self-similar family {family!r}")
+    names, involutions, elements = _selfsim_family(family)
     depth = None
     base = None
     for part in parts[2:]:
         name, _, value = part.partition("=")
         if name == "depth":
-            depth = int(value)
+            depth = _parse_rank(value, "orbit depth")
         elif name == "base":
             base = value
         else:
             raise ValidationError(f"bad orbit option {part!r}")
-    if depth is None or depth < 1:
+    if depth is None:
         raise ValidationError("orbit spec needs depth=<positive integer>")
     if base is None:
         base = "0" * depth
     if len(base) != depth or any(ch not in "01" for ch in base):
         raise ValidationError("orbit base must be a 0/1 word of the given depth")
-    if family == selfsim.GRIGORCHUK:
-        names = ("a", "b", "c", "d")
-        involutions = (True, True, True, True)
-        gens = [selfsim.grigorchuk(n) for n in names]
-    else:
-        names = ("a", "b")
-        involutions = (False, False)
-        gens = [selfsim.basilica(n) for n in names]
 
     def act(key, letter):
-        gen, sign = letter
-        step = gens[gen] if sign == 1 else gens[gen].inverse()
-        return selfsim.act_on_word(step, key)
+        return selfsim.act_on_word(elements[letter], key)
 
     return MarkedGSet(
         spec, names, involutions, base, act,

@@ -154,6 +154,8 @@ def doubling_map(word: Word) -> Word:
 
 def doubling_preimages(target: Word, search_radius: int) -> List[Word]:
     """All words in B(search_radius) mapping to the target."""
+    if search_radius < 0:
+        raise ValidationError("radius must be >= 0")
     target = F2.normal_form(target)
     return sorted(
         (w for w in _ball(search_radius) if doubling_map(w) == target),

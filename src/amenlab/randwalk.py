@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import CapExceeded, ValidationError, check_vertex_count
-from .groups import Word
+from .groups import Word, _free_reduce
 from .orbits import MarkedGSet, SchreierGraph, build_ball
 
 _EXACT_STEP_CAP = 64
@@ -53,21 +53,12 @@ class StepMeasure:
 
     @staticmethod
     def _normalize(gset: MarkedGSet, word: Word) -> Word:
-        fixed = tuple(
-            (gen, 1 if gset.involutions[gen] else sign) for gen, sign in word
-        )
         # free reduction is sound for every family (it never changes the element)
-        stack: list = []
-        for gen, sign in fixed:
-            if (
-                stack
-                and stack[-1][0] == gen
-                and (gset.involutions[gen] or stack[-1][1] == -sign)
-            ):
-                stack.pop()
-            else:
-                stack.append((gen, sign))
-        return tuple(stack)
+        flags = gset.involutions
+        return _free_reduce(
+            ((gen, 1 if flags[gen] else sign) for gen, sign in word),
+            [gen for gen, flag in enumerate(flags) if flag],
+        )
 
     @staticmethod
     def _formal_inverse(word: Word) -> Word:
@@ -185,6 +176,8 @@ def _radial_return_sequence(k: int, n: int) -> List[Fraction]:
 
 def return_sequence(gset: MarkedGSet, mu: StepMeasure, n: int) -> List[Fraction]:
     """Exact p_m(x,x) for m = 0..n."""
+    if n < 0:
+        raise ValidationError("step count must be >= 0")
     rank = _free_rank(gset)
     if rank is not None and _is_uniform_srw(gset, mu):
         return _radial_return_sequence(rank, n)

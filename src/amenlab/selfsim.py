@@ -26,9 +26,11 @@ import threading
 from typing import Dict, Optional, Tuple
 
 from .errors import CapExceeded, ValidationError
+from .groups import _free_reduce, tokenize
 
 GRIGORCHUK = "grigorchuk"
 BASILICA = "basilica"
+_BASILICA_NAMES = ("a", "b")
 
 _MEMO_CAP = 1_000_000
 
@@ -146,15 +148,10 @@ def grig_reduce(text: str) -> str:
 
 
 def _basilica_reduce(word) -> Tuple[Tuple[str, int], ...]:
-    stack: list[Tuple[str, int]] = []
     for name, sign in word:
-        if name not in ("a", "b") or sign not in (1, -1):
+        if name not in _BASILICA_NAMES or sign not in (1, -1):
             raise ValidationError(f"bad basilica letter {(name, sign)!r}")
-        if stack and stack[-1] == (name, -sign):
-            stack.pop()
-        else:
-            stack.append((name, sign))
-    return tuple(stack)
+    return _free_reduce(word)
 
 
 def grigorchuk(text: str) -> TreeAutomorphism:
@@ -166,15 +163,10 @@ def grigorchuk(text: str) -> TreeAutomorphism:
 
 def basilica(text: str) -> TreeAutomorphism:
     """Build a basilica element from tokens like ``"a b^-1 a"`` (1 = identity)."""
-    word: list[Tuple[str, int]] = []
-    for token in text.split():
-        if token == "1":
-            continue
-        name, _, exp_text = token.partition("^")
-        exp = int(exp_text) if exp_text else 1
-        sign = 1 if exp >= 0 else -1
-        word.extend((name, sign) for _ in range(abs(exp)))
-    return TreeAutomorphism(BASILICA, tuple(word))
+    return TreeAutomorphism(BASILICA, tuple(
+        (_BASILICA_NAMES[gen], sign)
+        for gen, sign in tokenize(text, _BASILICA_NAMES)
+    ))
 
 
 # -- wreath decomposition ----------------------------------------------

@@ -177,6 +177,11 @@ class TestInvolutionSpace:
         for site in self.space.ball(3):
             assert self.space.mul(site, self.space.inverse(site)) == ""
 
+    def test_negative_radius_rejected(self):
+        for space in (self.space, ZdSpace(1), ZdSpace(2, (3, 3))):
+            with pytest.raises(ValidationError):
+                space.ball(-1)
+
     def test_ball_sizes(self):
         assert len(self.space.ball(0)) == 1
         assert len(self.space.ball(1)) == 4

@@ -3,9 +3,11 @@
 import contextlib
 import io
 import json
+import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amenlab.cli import main
 
@@ -48,7 +50,7 @@ GOLDEN_COMMANDS = [
     "ca mep --rule life --radius 0",
     "ca entropy --rule xor:z --radius 1",
     "paradox verify --radius 3",
-    "paradox map --word x1_x2^-1",
+    "paradox map --word 'x1 x2^-1'",
     "paradox preimages --word x1 --radius 3",
     "topfull language --length 3",
     "topfull search --length 3",
@@ -61,9 +63,7 @@ GOLDEN_COMMANDS = [
 
 
 def _argv(command):
-    """Split a corpus command; "_" inside an argument stands for a space."""
-    return [arg.replace("_", " ").format(data=DATA)
-            for arg in command.split()]
+    return [arg.format(data=DATA) for arg in shlex.split(command)]
 
 
 def _golden_stdout(command):
@@ -243,6 +243,96 @@ class TestGraph:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["radius"] == 1
+
+
+class TestInvalidInputExitsTwo:
+    @pytest.mark.parametrize("argv", [
+        ("walk", "return", "--group", "free:2", "--steps", "-1"),
+        ("walk", "return", "--group", "free:2", "--steps", "-1",
+         "--precision", "float"),
+        ("ca", "entropy", "--rule", "and:z", "--radius", "-1"),
+        ("ca", "goe", "--rule", "and:z", "--radius", "-1"),
+        ("ca", "mep", "--rule", "and:z", "--radius", "-1"),
+        ("paradox", "preimages", "--radius", "-1"),
+        ("graph", "--gset", "orbit:grigorchuk:depth=x", "--radius", "1"),
+        ("growth", "--group", "cayley:coset:f2", "--radius", "1"),
+        ("ca", "step", "--rule", "life"),
+    ])
+    def test_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("content", [
+        None,  # no such file
+        "not json",
+        json.dumps({"cells": [{"site": [0, 0]}]}),  # a cell without a value
+        json.dumps([1, 2]),
+    ])
+    def test_bad_pattern_file(self, capsys, tmp_path, content):
+        path = tmp_path / "pattern.json"
+        if content is not None:
+            path.write_text(content)
+        code, _out, err = run(capsys, "ca", "step", "--rule", "life",
+                              "--pattern", str(path))
+        assert code == 2
+        assert err.startswith("error:")
+
+
+def test_coset_spec_means_the_schreier_graph_in_growth(capsys):
+    code, out, _err = run(capsys, "growth", "--group", "coset:f2",
+                          "--radius", "4", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["values"] == [1, 3, 7, 17, 45]
+
+
+_RANK_TEXT = st.one_of(st.integers(-1, 3).map(str),
+                       st.sampled_from(["", "x", "1.5", "0x1", "+2", "1,"]))
+_SPECS = st.one_of(
+    st.builds("free:{}".format, _RANK_TEXT),
+    st.builds("zmod:{}".format, _RANK_TEXT),
+    st.builds("zmod:{},{}".format, _RANK_TEXT, _RANK_TEXT),
+    st.builds("orbit:{}:depth={}".format,
+              st.sampled_from(["grigorchuk", "basilica", "nope"]), _RANK_TEXT),
+    st.sampled_from(["coset:f2", "coset:f3", "cayley:coset:f2", "z:2",
+                     "lamplighter", "dihedral", "cayley:nope", "orbit:", ""]),
+)
+_WORDS = st.lists(
+    st.builds("{}{}".format, st.sampled_from(["x1", "x2", "x3", "1"]),
+              st.sampled_from(["", "^2", "^-1", "^", "^x", "^1.5", "^--1"])),
+    max_size=4,
+).map(" ".join)
+_SMALL = st.integers(-3, 3).map(str)
+_COMMANDS = st.one_of(
+    st.builds(lambda g, r: ["growth", "--group", g, "--radius", r],
+              _SPECS, _SMALL),
+    st.builds(lambda g, r, n: ["folner", "--group", g, "--radius", r,
+                               "--fol", n], _SPECS, _SMALL, _SMALL),
+    st.builds(lambda a, g, n: ["walk", a, "--group", g, "--steps", n],
+              st.sampled_from(["return", "rho"]), _SPECS, _SMALL),
+    st.builds(lambda g, n: ["cogrowth", "counts", "--group", g,
+                            "--length", n], _SPECS, _SMALL),
+    st.builds(lambda g, r: ["graph", "--gset", g, "--radius", r],
+              _SPECS, _SMALL),
+    st.builds(lambda w: ["paradox", "map", "--word", w], _WORDS),
+    st.builds(lambda w, r: ["paradox", "preimages", "--word", w,
+                            "--radius", r], _WORDS, _SMALL),
+    st.builds(lambda a, r: ["ca", a, "--rule", "and:z", "--radius", r],
+              st.sampled_from(["goe", "entropy"]), _SMALL),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_COMMANDS)
+def test_cli_fuzz_exits_cleanly(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as error:  # argparse rejects the command line
+            code = error.code
+    assert code in (0, 2, 3)
 
 
 if __name__ == "__main__":

@@ -14,8 +14,7 @@ from amenlab.orbits import make_gset
 
 def brute_force_counts(spec, n):
     """Exhaustive reduced-word enumeration in the free cover."""
-    gset = make_gset(spec if spec.startswith(("cayley:", "orbit:"))
-                     or spec == "coset:f2" else f"cayley:{spec}")
+    gset = make_gset(spec)
     letters = [(g, s) for g in range(len(gset.names)) for s in (1, -1)]
     counts = [1]
     for k in range(1, n + 1):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from amenlab.errors import ValidationError
-from amenlab.groups import LamplighterElement, MarkedGroup, _free_reduce
+from amenlab.groups import (LamplighterElement, MarkedGroup, _free_reduce,
+                            tokenize)
 
 
 def letters(rank):
@@ -124,7 +125,37 @@ def test_free_reduce_never_leaves_cancellation():
     assert _free_reduce(((0, 1), (0, -1), (1, 1), (1, -1), (0, 1))) == ((0, 1),)
 
 
+def test_free_reduce_cancels_repeated_involution_letters():
+    word = ((0, 1), (0, 1), (1, 1), (0, 1), (0, 1), (1, 1))
+    assert _free_reduce(word, (0, 1)) == ()
+    assert _free_reduce(word, (0,)) == ((1, 1), (1, 1))
+    assert _free_reduce(word) == word
+
+
+def _dihedral_affine(word):
+    """The word as the map n -> s n + t of Z, x: n -> -n, y: n -> 1 - n."""
+    s, t = 1, 0
+    for gen, _sign in word:
+        s, t = -s, gen - t
+    return s, t
+
+
+@given(words(2, max_len=16))
+def test_dihedral_normal_form_is_the_alternating_reduced_word(word):
+    reduced = MarkedGroup.from_spec("dihedral").normal_form(word)
+    assert all(sign == 1 for _gen, sign in reduced)
+    assert all(a != b for a, b in zip(reduced, reduced[1:]))
+    assert _dihedral_affine(reduced) == _dihedral_affine(word)
+
+
+def test_tokenize():
+    assert tokenize("a b^-2 1 a^0", ("a", "b")) == ((0, 1), (1, -1), (1, -1))
+    for text in ("c", "a^x", "a^1.5", "b^--1"):
+        with pytest.raises(ValidationError):
+            tokenize(text, ("a", "b"))
+
+
 def test_bad_specs_rejected():
-    for spec in ("free:0", "z:x", "zmod:", "nonsense"):
+    for spec in ("free:0", "z:x", "zmod:", "nonsense", "coset:f2"):
         with pytest.raises(ValidationError):
             MarkedGroup.from_spec(spec)

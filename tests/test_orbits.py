@@ -1,10 +1,12 @@
 """Marked G-sets, Schreier balls, boundary edges and the coset action."""
 
+import itertools
 import json
 
 import pytest
 
 from amenlab.errors import CapExceeded, ValidationError
+from amenlab.isoperimetry import growth_series
 from amenlab.orbits import (boundary_edges, build_ball, coset_canonical,
                             coset_contains, make_gset)
 
@@ -63,6 +65,22 @@ class TestCosetAction:
         edges = boundary_edges(graph, interval)
         assert len(edges) == 2
 
+    def test_coset_spec_names_a_single_graph(self):
+        # the ray 1, b, b^2, ... plus a ternary tree of cosets hanging at H
+        for r in range(7):
+            closed_form = [k + 1 + (3 ** k - 1) // 2 for k in range(r + 1)]
+            assert list(growth_series("coset:f2", r)) == closed_form
+            graph = build_ball(make_gset("coset:f2"), r)
+            spheres = [0] * (r + 1)
+            for depth in graph.depths.values():
+                spheres[depth] += 1
+            assert list(itertools.accumulate(spheres)) == closed_form
+
+    def test_coset_gset_is_marked_by_free_generators(self):
+        assert self.gset.group.family == "free"
+        assert self.gset.names == ("a", "b")
+        assert self.gset.spec == "coset:f2"
+
     def test_a_edges_are_loops_on_the_ray(self):
         for k in range(5):
             key = tuple(((1, 1),) * k)
@@ -108,3 +126,19 @@ def test_unknown_specs_rejected():
                  "coset:f3"):
         with pytest.raises(ValidationError):
             make_gset(spec)
+
+
+def test_bad_orbit_depth_and_retired_coset_group_rejected():
+    for spec in ("orbit:grigorchuk:depth=x", "orbit:basilica:depth=",
+                 "cayley:coset:f2"):
+        with pytest.raises(ValidationError):
+            make_gset(spec)
+
+
+def test_bare_group_spec_means_its_cayley_form():
+    for bare in ("z:1", "free:2", "lamplighter", "grigorchuk"):
+        gset = make_gset(bare)
+        assert gset.spec == f"cayley:{bare}"
+        prefixed = make_gset(f"cayley:{bare}")
+        assert build_ball(gset, 2).to_json() == \
+            build_ball(prefixed, 2).to_json()

@@ -56,6 +56,10 @@ class TestDoubling:
         pre = doubling_preimages((), 3)
         assert [F2.show(w) for w in pre] == ["1", "x1^-1"]
 
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValidationError):
+            doubling_preimages((), -1)
+
     def test_two_to_one_on_a_small_ball(self):
         from collections import Counter
         images = Counter(doubling_map(w) for w in _ball(5))

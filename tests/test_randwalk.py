@@ -65,6 +65,12 @@ class TestReturnProbabilities:
         with pytest.raises(CapExceeded):
             measure_power(gset, srw_measure(gset), 65)
 
+    def test_negative_step_count_rejected(self):
+        for spec in ("cayley:free:2", "cayley:z:1"):  # radial and generic
+            gset = make_gset(spec)
+            with pytest.raises(ValidationError):
+                return_sequence(gset, srw_measure(gset), -1)
+
     def test_float_mode(self):
         gset = make_gset("cayley:z:1")
         value = return_probability(gset, srw_measure(gset), 4,

@@ -154,6 +154,11 @@ class TestBasilica:
         g = basilica("a b^-1 a")
         assert is_identity(g * g.inverse()).equal
 
+    def test_bad_words_rejected(self):
+        for text in ("a^x", "c", "a^1.5"):
+            with pytest.raises(ValidationError):
+                basilica(text)
+
 
 def test_signature_and_portrait_shapes():
     g = grigorchuk("ab")

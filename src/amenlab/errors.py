@@ -5,6 +5,7 @@ information; it is never a silently truncated answer.
 """
 
 import os
+from typing import Optional
 
 # Rough per-vertex bookkeeping cost used to translate the megabyte cap into a
 # vertex budget for ball construction and convolution supports.
@@ -44,8 +45,12 @@ def vertex_budget() -> int:
     return cap_megabytes() * 1_000_000 // _BYTES_PER_VERTEX
 
 
-def check_vertex_count(count: int, context: str = "ball construction"):
-    budget = vertex_budget()
+def check_vertex_count(count: int, context: str = "ball construction",
+                       budget: Optional[int] = None):
+    """Raise CapExceeded if ``count`` passes ``budget`` (by default
+    ``vertex_budget()``)."""
+    if budget is None:
+        budget = vertex_budget()
     if count > budget:
         raise CapExceeded(
             f"{context} exceeded the memory cap ({count} > {budget} vertices); "

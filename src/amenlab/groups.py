@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Collection, Iterable, Optional, Sequence, Tuple
 
-from .errors import ValidationError
+from .errors import CapExceeded, ValidationError, vertex_budget
 
 Letter = Tuple[int, int]
 Word = Tuple[Letter, ...]
@@ -42,7 +42,10 @@ def _free_reduce(letters: Iterable[Letter],
 
 def tokenize(text: str, names: Sequence[str]) -> Word:
     """Letters of space-separated tokens ``name`` or ``name^exp``; "1" is the
-    identity.  Letters are (index in ``names``, sign); nothing cancels."""
+    identity.  Letters are (index in ``names``, sign); nothing cancels.  A
+    word longer than ``vertex_budget()`` letters raises CapExceeded before it
+    is expanded."""
+    budget = vertex_budget()
     out: list[Letter] = []
     for token in text.split():
         if token == "1":
@@ -56,6 +59,12 @@ def tokenize(text: str, names: Sequence[str]) -> Word:
         except ValueError:
             raise ValidationError(f"bad exponent in token {token!r}")
         sign = 1 if exp >= 0 else -1
+        if len(out) + abs(exp) > budget:
+            raise CapExceeded(
+                f"word exceeded the memory cap ({len(out) + abs(exp)} > "
+                f"{budget} letters); raise AMENLAB_CAP_MB to allow more",
+                partial=len(out),
+            )
         out.extend((gen, sign) for _ in range(abs(exp)))
     return tuple(out)
 

@@ -25,8 +25,11 @@ from __future__ import annotations
 import json
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from . import selfsim
-from .errors import CapExceeded, ValidationError, check_vertex_count
+from .errors import (CapExceeded, ValidationError, check_vertex_count,
+                     vertex_budget)
 from .groups import Letter, MarkedGroup, Word, _free_reduce, _parse_rank
 
 
@@ -227,24 +230,48 @@ def _selfsim_family(family: str):
     return names, (family == selfsim.GRIGORCHUK,) * len(names), elements
 
 
-class _SelfsimCanonicalizer:
-    """Dedup of tree automorphisms by action signature.
+# Level of the tree whose action keys the self-similar Cayley canonicalizers.
+_SIGNATURE_DEPTHS = {selfsim.GRIGORCHUK: 8, selfsim.BASILICA: 12}
 
-    For the a,b,c,d group the signature match is verified by the exact
-    equality oracle; a mismatch would mean the signature depth is too small
-    and raises instead of returning a wrong key.
+
+class _SelfsimCanonicalizer:
+    """Dedup of tree automorphisms by their action on one level of the tree.
+
+    Each canonical element's level permutation is stored once, as bytes, and
+    those bytes are its table key.  Acting by a letter s on a known element g
+    is one gather, perm(g s) = perm_s[perm(g)]; an element the canonicalizer
+    did not return falls back to ``selfsim.level_permutation``.  For the
+    a,b,c,d group every match is verified by the exact equality oracle; a
+    mismatch would mean the depth is too small and raises instead of
+    returning a wrong key.
     """
 
-    def __init__(self, family: str, depth: int):
+    def __init__(self, family: str, depth: int, elements: Dict):
         self.family = family
         self.depth = depth
-        self.table: Dict[Tuple[str, ...], selfsim.TreeAutomorphism] = {}
+        self.elements = elements
+        self.perms = {letter: selfsim.level_permutation(g, depth)
+                      for letter, g in elements.items()}
+        self.table: Dict[bytes, selfsim.TreeAutomorphism] = {}
+        self.sigs: Dict[selfsim.TreeAutomorphism, bytes] = {}
 
     def canon(self, g: selfsim.TreeAutomorphism) -> selfsim.TreeAutomorphism:
-        sig = selfsim.signature(g, self.depth)
+        return self._lookup(g, selfsim.level_permutation(g, self.depth))
+
+    def act(self, key: selfsim.TreeAutomorphism,
+            letter: Letter) -> selfsim.TreeAutomorphism:
+        sig = self.sigs.get(key)
+        perm = selfsim.level_permutation(key, self.depth) if sig is None \
+            else np.frombuffer(sig, dtype=self.perms[letter].dtype)
+        return self._lookup(key * self.elements[letter],
+                            self.perms[letter][perm])
+
+    def _lookup(self, g, perm) -> selfsim.TreeAutomorphism:
+        sig = perm.tobytes()
         known = self.table.get(sig)
         if known is None:
             self.table[sig] = g
+            self.sigs[g] = sig
             return g
         if self.family == selfsim.GRIGORCHUK:
             if not selfsim.equals_selfsim(g, known):
@@ -258,15 +285,11 @@ class _SelfsimCanonicalizer:
 def _make_selfsim_cayley(spec: str, family: str) -> MarkedGSet:
     names, involutions, elements = _selfsim_family(family)
     canonicalizer = _SelfsimCanonicalizer(
-        family, 8 if family == selfsim.GRIGORCHUK else 12)
+        family, _SIGNATURE_DEPTHS[family], elements)
     # the first generator times its inverse: the identity
     identity = canonicalizer.canon(elements[(0, 1)] * elements[(0, -1)])
-
-    def act(key, letter):
-        return canonicalizer.canon(key * elements[letter])
-
     return MarkedGSet(
-        spec, names, involutions, identity, act,
+        spec, names, involutions, identity, canonicalizer.act,
         show_key=lambda g: g.show(), family=family,
     )
 
@@ -310,6 +333,8 @@ def build_ball(gset: MarkedGSet, radius: int,
     if radius < 0:
         raise ValidationError("radius must be >= 0")
     letters = gset.edge_letters()
+    budget = vertex_budget()
+    limit = budget if cap_vertices is None else min(cap_vertices, budget)
     depths: Dict = {gset.base_key: 0}
     frontier = [gset.base_key]
     for depth in range(1, radius + 1):
@@ -320,12 +345,8 @@ def build_ball(gset: MarkedGSet, radius: int,
                 if w not in depths:
                     depths[w] = depth
                     new.append(w)
-        if cap_vertices is not None and len(depths) > cap_vertices:
-            raise CapExceeded(
-                f"ball construction exceeded {cap_vertices} vertices",
-                partial=len(depths),
-            )
-        check_vertex_count(len(depths), "ball construction")
+                    if len(depths) > limit:
+                        _ball_cap_exceeded(len(depths), cap_vertices, budget)
         frontier = new
     edges: List[Tuple] = []
     for v, depth in depths.items():
@@ -334,6 +355,15 @@ def build_ball(gset: MarkedGSet, radius: int,
             if w in depths:
                 edges.append((v, letter, w))
     return SchreierGraph(gset, radius, depths, edges)
+
+
+def _ball_cap_exceeded(count: int, cap_vertices: Optional[int], budget: int):
+    if cap_vertices is not None and count > cap_vertices:
+        raise CapExceeded(
+            f"ball construction exceeded {cap_vertices} vertices",
+            partial=count,
+        )
+    check_vertex_count(count, "ball construction", budget)
 
 
 def boundary_edges(graph: SchreierGraph, subset) -> List[Tuple]:

@@ -13,10 +13,19 @@ returns the image of the vertex x, and (x0 x1...) g = (x0 pi_g) (x1...) g_{x0},
 with sections indexed by the input letter.  The product rule is
 (g h)_x = g_x h_{x pi_g}, pi_{g h} = pi_g pi_h.
 
+Level permutations: ``level_permutation(g, d)`` is the action of g on level d
+as a numpy index array p, leaf i (the d-bit word of i, first letter most
+significant) going to leaf p[i].  Each letter's array is built once per
+family and depth from the wreath recursion, read-only and on first use; a
+word's array folds them along the word, and since the action is on the right,
+p_{g h} = p_h[p_g].  ``signature`` formats the same array as image words.
+
 Equality in the a,b,c,d group is exact by recursive descent (the sections of a
 reduced word of letter length n have length at most (n+1)/2, so the recursion
-terminates); basilica equality is certified only to a finite depth and its
-verdict carries an ``approximate`` flag.
+terminates); basilica equality is certified only to a finite depth (the
+level-16 permutation) and its verdict carries an ``approximate`` flag.  The
+identity memo of the exact descent is a bounded cache: when full it starts
+over.
 """
 
 from __future__ import annotations
@@ -25,7 +34,9 @@ import json
 import threading
 from typing import Dict, Optional, Tuple
 
-from .errors import CapExceeded, ValidationError
+import numpy as np
+
+from .errors import ValidationError, check_vertex_count
 from .groups import _free_reduce, tokenize
 
 GRIGORCHUK = "grigorchuk"
@@ -226,26 +237,89 @@ def act_on_word(g: TreeAutomorphism, x: str) -> str:
     for ch in x:
         if ch not in "01":
             raise ValidationError(f"tree vertices are 0/1 words, got {x!r}")
-    if not x or not g.word:
-        return x
-    decomp = wreath_decompose(g)
-    first = int(x[0])
-    image_first = first ^ decomp.swap
-    return str(image_first) + act_on_word(decomp.sections[first], x[1:])
+    out = []
+    for i, ch in enumerate(x):
+        if not g.word:
+            out.append(x[i:])
+            break
+        decomp = wreath_decompose(g)
+        first = ch == "1"
+        out.append("1" if first ^ decomp.swap else "0")
+        g = decomp.sections[first]
+    return "".join(out)
+
+
+# -- level permutations ----------------------------------------------------
+
+_TABLES = {GRIGORCHUK: _GRIG_TABLE, BASILICA: _BASILICA_TABLE}
+
+# (family, depth) -> {letter: read-only index array of its action on level
+# depth}; filled on first use, one depth at a time.
+_letter_perms_memo: Dict[Tuple[str, int], Dict] = {}
+
+
+def _leaf_dtype(depth: int):
+    return np.min_scalar_type((1 << depth) - 1)
+
+
+def _fold(perms: Dict, letters, depth: int) -> np.ndarray:
+    """The level-``depth`` permutation of a word: for a right action,
+    x (g h) = (x g) h, so each letter's array gathers the running one."""
+    out = None
+    for letter in letters:
+        out = perms[letter] if out is None else perms[letter][out]
+    return np.arange(1 << depth, dtype=_leaf_dtype(depth)) if out is None \
+        else out
+
+
+def _letter_perms(family: str, depth: int) -> Dict:
+    """Each letter's action on level ``depth``, from the wreath recursion:
+    leaf x0 w goes to (x0 pi) (w s_x0), so the array is the two section
+    arrays of level depth - 1, offset by the image of the first letter."""
+    key = (family, depth)
+    perms = _letter_perms_memo.get(key)
+    if perms is not None:
+        return perms
+    table = _TABLES[family]
+    if depth == 0:
+        perms = {letter: np.zeros(1, dtype=np.uint8) for letter in table}
+    else:
+        check_vertex_count(1 << depth, "level permutation")
+        below = _letter_perms(family, depth - 1)
+        dtype, half = _leaf_dtype(depth), 1 << (depth - 1)
+        perms = {}
+        for letter, (s0, s1, swap) in table.items():
+            perms[letter] = np.concatenate([
+                _fold(below, s0, depth - 1).astype(dtype) + swap * half,
+                _fold(below, s1, depth - 1).astype(dtype) + (not swap) * half,
+            ])
+    for array in perms.values():
+        array.flags.writeable = False
+    _letter_perms_memo[key] = perms
+    return perms
+
+
+def level_permutation(g: TreeAutomorphism, depth: int) -> np.ndarray:
+    """The action of ``g`` on level ``depth`` as an index array: leaf i is the
+    ``depth``-bit word of i (first letter most significant) and goes to leaf
+    ``level_permutation(g, depth)[i]``.  The array may be shared: do not
+    write to it."""
+    if depth < 0:
+        raise ValidationError("depth must be >= 0")
+    return _fold(_letter_perms(g.family, depth), g.word, depth)
 
 
 def signature(g: TreeAutomorphism, depth: int) -> Tuple[str, ...]:
     """The full action on level ``depth``, as a tuple of image words."""
-    leaves = _level(depth)
-    return tuple(act_on_word(g, x) for x in leaves)
-
-
-def _level(depth: int):
+    perm = level_permutation(g, depth)
     if depth == 0:
         return ("",)
-    return tuple(
-        format(i, f"0{depth}b") for i in range(1 << depth)
-    )
+    return tuple(format(i, f"0{depth}b") for i in perm.tolist())
+
+
+def _fixes_level(g: TreeAutomorphism, depth: int) -> bool:
+    perm = level_permutation(g, depth)
+    return bool(np.array_equal(perm, np.arange(len(perm))))
 
 
 # -- exact equality for the a,b,c,d group -------------------------------
@@ -261,10 +335,8 @@ class _IdentityMemo:
     def put(self, key, value):
         with self.lock:
             if len(self.table) >= _MEMO_CAP:
-                raise CapExceeded(
-                    f"equality memo exceeded {_MEMO_CAP} entries",
-                    partial=len(self.table),
-                )
+                # a cache, not a result: start over instead of failing
+                self.table.clear()
             self.table[key] = value
 
 
@@ -316,15 +388,13 @@ def equals_selfsim(g: TreeAutomorphism, h: TreeAutomorphism,
     product = g * h.inverse()
     if g.family == GRIGORCHUK:
         return EqualityVerdict(_grig_is_identity(product.word), False, None)
-    equal = all(act_on_word(product, x) == x for x in _level(depth))
-    return EqualityVerdict(equal, True, depth)
+    return EqualityVerdict(_fixes_level(product, depth), True, depth)
 
 
 def is_identity(g: TreeAutomorphism, depth: int = 16) -> EqualityVerdict:
     if g.family == GRIGORCHUK:
         return EqualityVerdict(_grig_is_identity(g.word), False, None)
-    equal = all(act_on_word(g, x) == x for x in _level(depth))
-    return EqualityVerdict(equal, True, depth)
+    return EqualityVerdict(_fixes_level(g, depth), True, depth)
 
 
 # -- eta norm ------------------------------------------------------------

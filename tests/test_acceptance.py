@@ -193,6 +193,10 @@ class TestGrigorchukGroup:
         assert values == golden["ballSizes"]
         assert values[:3] == [1, 5, 11]
 
+    def test_basilica_growth_matches_the_frozen_golden_file(self):
+        golden = json.loads((DATA / "basilica_growth.json").read_text())
+        assert list(growth_series("basilica", 4)) == golden["ballSizes"]
+
 
 class TestCogrowth:
     def test_series_identity_residuals_vanish(self):

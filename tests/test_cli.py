@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import shlex
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -209,6 +211,24 @@ class TestParadox:
                               "--word", "1", "--radius", "3")
         assert code == 0
         assert json.loads(out)["preimages"] == ["1", "x1^-1"]
+
+    def test_huge_exponent_exits_three_without_expanding(self, capsys,
+                                                         monkeypatch):
+        monkeypatch.delenv("AMENLAB_CAP_MB", raising=False)
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            code, out, err = run(capsys, "paradox", "map",
+                                 "--word", "x1^100000000")
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, "")
+        assert err.startswith("cap exceeded:")
+        assert elapsed < 1.0
+        # the expanded word would be a 10^8-entry tuple, 800 MB of pointers
+        assert peak < 10_000_000
 
 
 class TestTopfull:

@@ -4,7 +4,7 @@ families in amenlab.groups."""
 import pytest
 from hypothesis import given, strategies as st
 
-from amenlab.errors import ValidationError
+from amenlab.errors import CapExceeded, ValidationError
 from amenlab.groups import (LamplighterElement, MarkedGroup, _free_reduce,
                             tokenize)
 
@@ -153,6 +153,16 @@ def test_tokenize():
     for text in ("c", "a^x", "a^1.5", "b^--1"):
         with pytest.raises(ValidationError):
             tokenize(text, ("a", "b"))
+
+
+def test_tokenize_caps_the_expanded_length(monkeypatch):
+    monkeypatch.setenv("AMENLAB_CAP_MB", "1")  # a 5,000-letter budget
+    assert len(tokenize("a^4999 b^-1", ("a", "b"))) == 5000
+    for text, partial in (("a^4999 b^2", 4999), ("a^-5001", 0),
+                          ("a b^100000000000", 1)):
+        with pytest.raises(CapExceeded) as info:
+            tokenize(text, ("a", "b"))
+        assert info.value.partial == partial
 
 
 def test_bad_specs_rejected():

@@ -5,10 +5,12 @@ import json
 
 import pytest
 
-from amenlab.errors import CapExceeded, ValidationError
+from amenlab import orbits
+from amenlab.errors import CapExceeded, ValidationError, vertex_budget
 from amenlab.isoperimetry import growth_series
 from amenlab.orbits import (boundary_edges, build_ball, coset_canonical,
                             coset_contains, make_gset)
+from amenlab.selfsim import equals_selfsim, grigorchuk
 
 
 class TestCayleyBalls:
@@ -34,8 +36,37 @@ class TestCayleyBalls:
         assert len(graph.depths) == 1 + 4 + 12
 
     def test_vertex_cap(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded) as info:
             build_ball(make_gset("cayley:free:2"), 6, cap_vertices=100)
+        assert info.value.partial == 101
+
+    def test_memory_cap_stops_inside_a_shell(self, monkeypatch):
+        # a 5,000-vertex budget; the third shell of free:20 alone has 59,280
+        monkeypatch.setenv("AMENLAB_CAP_MB", "1")
+        with pytest.raises(CapExceeded) as info:
+            build_ball(make_gset("free:20"), 3)
+        assert info.value.partial <= vertex_budget() + 1
+
+
+class TestSelfsimCanonicalizer:
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_shallow_signatures_fail_the_exact_check(self, monkeypatch,
+                                                     depth):
+        # level 2 carries only the dihedral group of order 8, so distinct
+        # elements of the radius-3 ball share signatures; the exact oracle
+        # must refuse the merge
+        monkeypatch.setitem(orbits._SIGNATURE_DEPTHS, "grigorchuk", depth)
+        with pytest.raises(CapExceeded):
+            build_ball(make_gset("cayley:grigorchuk"), 3)
+
+    def test_foreign_keys_fall_back_to_level_permutation(self):
+        gset = make_gset("cayley:grigorchuk")
+        build_ball(gset, 4)
+        g = grigorchuk("abadac")  # not a key the canonicalizer returned
+        image = gset.act(g, (1, 1))
+        # g b = abadad, first found in the ball as acada
+        assert equals_selfsim(image, g * grigorchuk("b")).equal
+        assert image.word == "acada"
 
 
 class TestCosetAction:

@@ -1,14 +1,19 @@
 """Wreath recursion, exact equality, the eta norm and the sigma substitution
 for the self-similar tree automorphism groups."""
 
-import pytest
+import random
 
-from amenlab.errors import ValidationError
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from amenlab import selfsim
+from amenlab.errors import CapExceeded, ValidationError
 from amenlab.selfsim import (ETA, TreeAutomorphism, act_on_word, basilica,
                              element_order, equals_selfsim, eta_norm,
-                             grig_reduce, grigorchuk, is_identity, portrait,
-                             sigma_apply, signature, wreath_decompose,
-                             _LETTER_NORMS)
+                             grig_reduce, grigorchuk, is_identity,
+                             level_permutation, portrait, sigma_apply,
+                             signature, wreath_decompose, _LETTER_NORMS)
 
 
 def syllable_words(max_len):
@@ -175,3 +180,80 @@ def test_cross_family_operations_rejected():
         eta_norm(basilica("a"))
     with pytest.raises(ValidationError):
         sigma_apply(basilica("a"))
+
+
+def test_signature_at_depth_zero_and_bad_depth():
+    assert signature(grigorchuk("abc"), 0) == ("",)
+    assert signature(basilica("a b"), 0) == ("",)
+    with pytest.raises(ValidationError):
+        level_permutation(grigorchuk("a"), -1)
+    with pytest.raises(CapExceeded):  # 2^30 leaves, refused up front
+        level_permutation(basilica("a"), 30)
+
+
+def test_act_on_word_validates_the_whole_vertex():
+    with pytest.raises(ValidationError):
+        act_on_word(grigorchuk(""), "0102")
+    assert act_on_word(grigorchuk(""), "0110") == "0110"
+
+
+# -- level permutations against the per-leaf action --------------------------
+
+_GRIG_WORDS = st.text(alphabet="abcd", max_size=16).map(grigorchuk)
+_BASILICA_WORDS = st.lists(
+    st.sampled_from(["a", "b", "a^-1", "b^-1"]), max_size=16,
+).map(lambda tokens: basilica(" ".join(tokens) or "1"))
+_PAIRS = st.one_of(st.tuples(_GRIG_WORDS, _GRIG_WORDS),
+                   st.tuples(_BASILICA_WORDS, _BASILICA_WORDS))
+
+
+def _leaves(depth):
+    return [format(i, f"0{depth}b") if depth else "" for i in range(1 << depth)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PAIRS, st.integers(0, 10))
+def test_level_permutation_matches_the_leaf_action(pair, depth):
+    g, h = pair
+    perm = level_permutation(g, depth)
+    leaves = _leaves(depth)
+    assert [leaves[i] for i in perm.tolist()] == \
+        [act_on_word(g, x) for x in leaves]
+    # right action: x (g h) = (x g) h
+    assert np.array_equal(level_permutation(g * h, depth),
+                          level_permutation(h, depth)[perm])
+
+
+def test_level_permutations_are_read_only():
+    perm = level_permutation(grigorchuk("b"), 3)
+    with pytest.raises(ValueError):
+        perm[0] = 1
+
+
+# -- the equality memo ------------------------------------------------------
+
+def _memo_words(count):
+    """Random words, every third one a conjugate of a relator (trivial)."""
+    rng = random.Random(5)
+    relators = [grigorchuk("adadadad")]
+    for _ in range(2):
+        relators.append(sigma_apply(relators[-1]))
+    words = []
+    for i in range(count):
+        u = grigorchuk("".join(rng.choice("abcd")
+                               for _ in range(rng.randrange(1, 20))))
+        words.append(u * rng.choice(relators) * u.inverse() if i % 3 == 0
+                     else u)
+    return words
+
+
+def test_identity_memo_evicts_instead_of_raising(monkeypatch):
+    words = _memo_words(300)
+    monkeypatch.setattr(selfsim, "_identity_memo", selfsim._IdentityMemo())
+    unbounded = [is_identity(g).equal for g in words]
+    assert any(unbounded) and not all(unbounded)
+    monkeypatch.setattr(selfsim, "_MEMO_CAP", 7)
+    monkeypatch.setattr(selfsim, "_identity_memo", selfsim._IdentityMemo())
+    bounded = [is_identity(g).equal for g in words]
+    assert bounded == unbounded
+    assert len(selfsim._identity_memo.table) <= 7

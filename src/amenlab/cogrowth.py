@@ -9,17 +9,20 @@ group.  With q = #S_pm - 1, the exact functional equation
 relates the reduced-word series B to the all-words series C = 1/(1 - z A),
 and the cogrowth rate gamma = limsup c(n)^{1/n} predicts the walk spectral
 radius via rho = (gamma + q/gamma) / #S_pm when gamma > 1.
+
+Both counts come from the integer walk DP ``orbits.walk_counts`` on the ball
+of radius floor(n/2), which holds every closed word of length <= n.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
-from .errors import ValidationError, check_vertex_count
-from .orbits import MarkedGSet, make_gset
+from .errors import ValidationError
+from .orbits import (MarkedGSet, SchreierGraph, build_ball, make_gset,
+                     walk_counts)
 
 
 class CogrowthCounts:
@@ -45,38 +48,43 @@ class CogrowthCounts:
 
 def _directed_letters(gset: MarkedGSet):
     """Formal free-cover letters: two per generator, always."""
-    out = []
-    for gen in range(len(gset.names)):
-        out.append((gen, 1))
-        out.append((gen, -1))
-    return out
+    return [(gen, sign) for gen in range(len(gset.names)) for sign in (1, -1)]
 
 
 def reduced_closed_counts(spec: str, n: int) -> CogrowthCounts:
     """c(k) for k <= n by dynamic programming over (element, last letter)."""
+    graph = _closed_word_ball(spec, n)
+    return CogrowthCounts(spec, _reduced_walk_counts(graph, n),
+                          2 * len(graph.gset.names))
+
+
+def _closed_word_ball(spec: str, n: int) -> SchreierGraph:
     if n < 0:
         raise ValidationError("length bound must be >= 0")
-    gset = make_gset(spec)
-    letters = _directed_letters(gset)
-    inverse = {(g, s): (g, -s) for g, s in letters}
-    # state: (vertex key, last formal letter) -> number of reduced words
-    states: Dict[Tuple, int] = {(gset.base_key, None): 1}
-    counts = [1]
-    for _ in range(n):
-        new: Dict[Tuple, int] = {}
-        for (key, last), count in states.items():
-            for letter in letters:
-                if last is not None and letter == inverse[last]:
-                    continue
-                target = gset.act(key, letter)
-                state = (target, letter)
-                new[state] = new.get(state, 0) + count
-        states = new
-        check_vertex_count(len(states), "cogrowth DP")
-        counts.append(
-            sum(c for (key, _last), c in states.items() if key == gset.base_key)
-        )
-    return CogrowthCounts(spec, counts, 2 * len(gset.names))
+    return build_ball(make_gset(spec), n // 2)
+
+
+def _closed_walk_counts(graph: SchreierGraph, n: int) -> List[int]:
+    """Closed words of each length k <= n over the formal letters."""
+    moves = [(*graph.word_edges((letter,)), 1)
+             for letter in _directed_letters(graph.gset)]
+    return [vector[0] for vector in walk_counts(len(graph.keys), moves, n)]
+
+
+def _reduced_walk_counts(graph: SchreierGraph, n: int) -> List[int]:
+    """Closed reduced words of each length k <= n over the formal letters.
+
+    The walk runs on the states s * V + v: at vertex v before any letter for
+    s = 0, after letter c for s = c + 1; the formal inverse of c is c ^ 1.
+    """
+    letters = _directed_letters(graph.gset)
+    size = len(graph.keys)
+    moves = [(last * size + src, (c + 1) * size + dst, 1)
+             for c, (src, dst) in enumerate(graph.word_edges((letter,))
+                                            for letter in letters)
+             for last in range(len(letters) + 1) if last != (c ^ 1) + 1]
+    return [sum(weights[::size])
+            for weights in walk_counts((len(letters) + 1) * size, moves, n)]
 
 
 def cogrowth_report(counts: CogrowthCounts,
@@ -151,13 +159,11 @@ def series_identity_check(spec: str, n: int) -> dict:
 
     The residual is reported coefficient by coefficient and must be exactly 0.
     """
-    gset = make_gset(spec)
-    letters = _directed_letters(gset)
-    s_pm = len(letters)
-    q = s_pm - 1
+    graph = _closed_word_ball(spec, n)
+    q = 2 * len(graph.gset.names) - 1
     # c_k = closed walks of length k at the basepoint (all formal letters)
-    walk_counts = _closed_walk_counts(gset, letters, n)
-    b_counts = reduced_closed_counts(spec, n).counts
+    c_counts = _closed_walk_counts(graph, n)
+    b_counts = _reduced_walk_counts(graph, n)
     one_plus_qz2 = [Fraction(1), Fraction(0), Fraction(q)]
     inv = _poly_inverse(one_plus_qz2, n)
     # u = z / (1 + q z^2)
@@ -166,7 +172,7 @@ def series_identity_check(spec: str, n: int) -> dict:
     rhs = [Fraction(0)] * (n + 1)
     u_power = [Fraction(1)] + [Fraction(0)] * n
     for k in range(n + 1):
-        ck = Fraction(walk_counts[k])
+        ck = Fraction(c_counts[k])
         if ck:
             for i in range(n + 1):
                 rhs[i] += ck * u_power[i]
@@ -182,22 +188,3 @@ def series_identity_check(spec: str, n: int) -> dict:
         "lhs": lhs,
         "rhs": rhs,
     }
-
-
-def _closed_walk_counts(gset: MarkedGSet, letters, n: int) -> List[int]:
-    current: Dict = {gset.base_key: 1}
-    out = [1]
-    for _ in range(n):
-        new: Dict = {}
-        for key, count in current.items():
-            for letter in letters:
-                target = gset.act(key, letter)
-                new[target] = new.get(target, 0) + count
-        current = new
-        check_vertex_count(len(current), "walk counting")
-        out.append(current.get(gset.base_key, 0))
-    return out
-
-
-def report_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, default=str)

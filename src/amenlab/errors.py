@@ -8,7 +8,7 @@ import os
 from typing import Optional
 
 # Rough per-vertex bookkeeping cost used to translate the megabyte cap into a
-# vertex budget for ball construction and convolution supports.
+# vertex budget for ball construction (walks and cogrowth run on balls too).
 _BYTES_PER_VERTEX = 200
 
 

@@ -2,8 +2,10 @@
 
 A ``MarkedGSet`` is an action oracle: canonical vertex keys plus a right
 action of the generators.  ``build_ball`` materializes the labeled ball around
-the basepoint; ``boundary_edges`` counts outgoing edges, refusing sets that
-touch the outer BFS shell (whose neighborhoods are unknown).
+the basepoint as a neighbour table over BFS ids, which the analyses consume:
+``walk_counts`` is the one exact integer walk DP on such ids, and
+``boundary_edges`` counts outgoing edges, refusing sets that touch the outer
+BFS shell (whose neighborhoods are unknown).
 
 Registered specs (``make_gset`` is the one resolver every entry point uses):
 
@@ -23,6 +25,7 @@ reduced word in H amounts to all prefix b-sums being >= 0 with total 0.
 from __future__ import annotations
 
 import json
+from array import array
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -80,22 +83,30 @@ class MarkedGSet:
 
 
 class SchreierGraph:
-    """A labeled BFS ball: vertices with depths, edges (src, gen, dst)."""
+    """A labeled BFS ball: vertex ``keys`` numbered in BFS order, their
+    ``depths``, and the neighbour ``table``: ``table[i, c]`` is the id of
+    ``keys[i]`` acted on by ``letters[c]``, or -1 outside the ball."""
 
-    def __init__(self, gset: MarkedGSet, radius: int,
-                 depths: Dict, edges: List[Tuple]):
+    def __init__(self, gset: MarkedGSet, radius: int, depths: Dict,
+                 ids: Dict, keys: List, table: np.ndarray):
         self.gset = gset
         self.radius = radius
         self.depths = depths
-        self.edges = edges
+        self.ids = ids
+        self.keys = keys
+        self.table = table
+        self.letters = gset.edge_letters()
         self.base_key = gset.base_key
-        self._out: Dict = {}
-        for src, letter, dst in edges:
-            self._out.setdefault(src, []).append((letter, dst))
 
     @property
     def vertices(self):
         return self.depths.keys()
+
+    @property
+    def edges(self) -> List[Tuple]:
+        """(src, letter, dst) for every edge inside the ball, in id order."""
+        return [(key, letter, w)
+                for key in self.keys for letter, w in self.out_edges(key)]
 
     def interior(self):
         """Vertices whose whole neighborhood lies inside the ball."""
@@ -105,7 +116,28 @@ class SchreierGraph:
         return key in self.depths and self.depths[key] <= self.radius - 1
 
     def out_edges(self, key):
-        return self._out.get(key, [])
+        row = self.table[self.ids[key]].tolist() if key in self.ids else []
+        return [(self.letters[c], self.keys[j])
+                for c, j in enumerate(row) if j >= 0]
+
+    def word_edges(self, word: Word) -> Tuple[np.ndarray, np.ndarray]:
+        """The ids i whose key acted on by ``word`` lies in the ball, and the
+        ids of those targets.  A path that leaves the ball before the word
+        ends is finished on keys, since it may come back."""
+        targets = np.arange(len(self.keys))
+        returned = {}
+        for pos, (gen, sign) in enumerate(word):
+            column = self.letters.index(
+                (gen, 1 if self.gset.involutions[gen] else sign))
+            step = np.where(targets >= 0, self.table[targets, column], -1)
+            if pos + 1 < len(word):
+                for i in np.flatnonzero((targets >= 0) & (step < 0)):
+                    key = self.gset.act_word(self.keys[targets[i]], word[pos:])
+                    returned[i] = self.ids.get(key, -1)
+            targets = step
+        targets[list(returned)] = list(returned.values())
+        src = np.flatnonzero(targets >= 0)
+        return src, targets[src]
 
     def to_json(self) -> str:
         show = self.gset.show_key
@@ -330,40 +362,49 @@ def _make_orbit(spec: str) -> MarkedGSet:
 
 def build_ball(gset: MarkedGSet, radius: int,
                cap_vertices: Optional[int] = None) -> SchreierGraph:
+    """The ball around the basepoint; one act per vertex and letter."""
     if radius < 0:
         raise ValidationError("radius must be >= 0")
     letters = gset.edge_letters()
     budget = vertex_budget()
     limit = budget if cap_vertices is None else min(cap_vertices, budget)
+    keys = [gset.base_key]
+    ids: Dict = {gset.base_key: 0}
     depths: Dict = {gset.base_key: 0}
-    frontier = [gset.base_key]
-    for depth in range(1, radius + 1):
-        new: list = []
-        for v in frontier:
-            for letter in letters:
-                w = gset.act(v, letter)
-                if w not in depths:
-                    depths[w] = depth
-                    new.append(w)
-                    if len(depths) > limit:
-                        _ball_cap_exceeded(len(depths), cap_vertices, budget)
-        frontier = new
-    edges: List[Tuple] = []
-    for v, depth in depths.items():
+    table = array("i")
+    for key in keys:  # keys grows while the BFS runs
+        depth = depths[key]
         for letter in letters:
-            w = gset.act(v, letter)
-            if w in depths:
-                edges.append((v, letter, w))
-    return SchreierGraph(gset, radius, depths, edges)
+            w = gset.act(key, letter)
+            j = ids.get(w, -1)
+            if j < 0 and depth < radius:
+                j = len(keys)
+                ids[w] = j
+                depths[w] = depth + 1
+                keys.append(w)
+                if j >= limit:
+                    if cap_vertices is not None and j >= cap_vertices:
+                        raise CapExceeded(f"ball construction exceeded "
+                                          f"{cap_vertices} vertices",
+                                          partial=j + 1)
+                    check_vertex_count(j + 1, "ball construction", budget)
+            table.append(j)
+    table = np.frombuffer(table, dtype=np.intc).reshape(len(keys), -1)
+    return SchreierGraph(gset, radius, depths, ids, keys, table)
 
 
-def _ball_cap_exceeded(count: int, cap_vertices: Optional[int], budget: int):
-    if cap_vertices is not None and count > cap_vertices:
-        raise CapExceeded(
-            f"ball construction exceeded {cap_vertices} vertices",
-            partial=count,
-        )
-    check_vertex_count(count, "ball construction", budget)
+def walk_counts(size: int, moves, n: int):
+    """Yield the exact integer weights on ``size`` states after 0..n steps
+    from state 0: a move (src, dst, weight) adds weight times the weight at
+    src[k] to dst[k], and the dst of one move are distinct."""
+    current = np.zeros(size, dtype=object)
+    current[0] = 1
+    yield current
+    for _ in range(n):
+        current, previous = np.zeros(size, dtype=object), current
+        for src, dst, weight in moves:
+            current[dst] += previous[src] * weight
+        yield current
 
 
 def boundary_edges(graph: SchreierGraph, subset) -> List[Tuple]:
@@ -380,9 +421,5 @@ def boundary_edges(graph: SchreierGraph, subset) -> List[Tuple]:
             raise ValidationError(
                 "subset touches the outer shell; build a larger ball"
             )
-    out = []
-    for v in members:
-        for letter, w in graph.out_edges(v):
-            if w not in members and w != v:
-                out.append((v, letter, w))
-    return out
+    return [(v, letter, w) for v in members
+            for letter, w in graph.out_edges(v) if w not in members]

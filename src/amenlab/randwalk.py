@@ -4,6 +4,11 @@ Exact convolution powers, return probabilities, spectral-radius lower bounds
 p_{2n}(x,x)^{1/2n}, Dirichlet-truncated operator estimates, Kesten inequality
 reports, and inverted-orbit statistics.
 
+Exact walks run the integer DP ``orbits.walk_counts`` with mu scaled by its
+common denominator D, dividing by D^m once per step count m.  With steps of
+length <= L, n-step return probabilities need only the ball of radius
+floor(nL/2) and the n-step law the ball of radius nL, under the vertex cap.
+
 Walks on the free-group Cayley graph get a radial fast path: the uniform
 symmetric walk is isotropic, so return probabilities reduce to a birth-death
 chain on the distance from the origin, and the Perron eigenvector of the
@@ -13,7 +18,6 @@ two are cross-checked in the tests.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from fractions import Fraction
@@ -21,9 +25,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import CapExceeded, ValidationError, check_vertex_count
+from .errors import CapExceeded, ValidationError
 from .groups import Word, _free_reduce
-from .orbits import MarkedGSet, SchreierGraph, build_ball
+from .orbits import MarkedGSet, SchreierGraph, build_ball, walk_counts
 
 _EXACT_STEP_CAP = 64
 _EXACT_SUPPORT_CAP = 1_000_000
@@ -123,22 +127,25 @@ def measure_power(gset: MarkedGSet, mu: StepMeasure, n: int,
             f"exact convolution is capped at {_EXACT_STEP_CAP} steps; "
             "use precision='float' or the radial fast path"
         )
-    one = Fraction(1) if precision == "exact" else 1.0
-    current: Dict = {gset.base_key: one}
-    for _ in range(n):
-        new: Dict = {}
-        for key, mass in current.items():
-            for word, weight in mu.items():
-                w = weight if precision == "exact" else float(weight)
-                target = gset.act_word(key, word)
-                new[target] = new.get(target, 0) + mass * w
-        current = new
-        if len(current) > _EXACT_SUPPORT_CAP:
-            raise CapExceeded(
-                f"convolution support exceeded {_EXACT_SUPPORT_CAP} points"
-            )
-        check_vertex_count(len(current), "convolution support")
-    return Distribution(current, precision)
+    denominator, graph, counts = _scaled_walk(gset, mu, n, closed=False)
+    *_, weights = counts
+    entries = {}
+    for i in np.flatnonzero(weights):
+        mass = Fraction(weights[i], denominator ** n)
+        entries[graph.keys[i]] = mass if precision == "exact" else float(mass)
+    return Distribution(entries, precision)
+
+
+def _scaled_walk(gset: MarkedGSet, mu: StepMeasure, n: int, closed: bool):
+    """mu's common denominator D, the ball the walk needs (see the module
+    docstring), and the walk's weights after 0..n steps under D * mu."""
+    denominator = math.lcm(*(w.denominator for _, w in mu.items()))
+    reach = n * max(len(word) for word, _ in mu.items())
+    graph = build_ball(gset, reach // 2 if closed else reach,
+                       cap_vertices=None if closed else _EXACT_SUPPORT_CAP)
+    moves = [(*graph.word_edges(word), int(w * denominator))
+             for word, w in mu.items()]
+    return denominator, graph, walk_counts(len(graph.keys), moves, n)
 
 
 def _is_uniform_srw(gset: MarkedGSet, mu: StepMeasure) -> bool:
@@ -157,21 +164,12 @@ def _free_rank(gset: MarkedGSet) -> Optional[int]:
 def _radial_return_sequence(k: int, n: int) -> List[Fraction]:
     """p_m(x,x) for m = 0..n for the uniform SRW on the 2k-regular tree."""
     degree = 2 * k
-    back = Fraction(1, degree)
-    away = Fraction(degree - 1, degree)
-    dist: Dict[int, Fraction] = {0: Fraction(1)}
-    out = [Fraction(1)]
-    for _ in range(n):
-        new: Dict[int, Fraction] = {}
-        for d, mass in dist.items():
-            if d == 0:
-                new[1] = new.get(1, Fraction(0)) + mass
-            else:
-                new[d - 1] = new.get(d - 1, Fraction(0)) + mass * back
-                new[d + 1] = new.get(d + 1, Fraction(0)) + mass * away
-        dist = new
-        out.append(dist.get(0, Fraction(0)))
-    return out
+    # the chain of distances from x, weights scaled by the degree
+    away = np.arange(1, n + 1)
+    moves = [([0], [1], degree), (away, away + 1, degree - 1),
+             (away, away - 1, 1)]
+    return [Fraction(weights[0], degree ** m)
+            for m, weights in enumerate(walk_counts(n + 2, moves, n))]
 
 
 def return_sequence(gset: MarkedGSet, mu: StepMeasure, n: int) -> List[Fraction]:
@@ -181,19 +179,9 @@ def return_sequence(gset: MarkedGSet, mu: StepMeasure, n: int) -> List[Fraction]
     rank = _free_rank(gset)
     if rank is not None and _is_uniform_srw(gset, mu):
         return _radial_return_sequence(rank, n)
-    out = [Fraction(1)]
-    one = Fraction(1)
-    current: Dict = {gset.base_key: one}
-    for _ in range(n):
-        new: Dict = {}
-        for key, mass in current.items():
-            for word, weight in mu.items():
-                target = gset.act_word(key, word)
-                new[target] = new.get(target, Fraction(0)) + mass * weight
-        current = new
-        check_vertex_count(len(current), "convolution support")
-        out.append(current.get(gset.base_key, Fraction(0)))
-    return out
+    denominator, _graph, counts = _scaled_walk(gset, mu, n, closed=True)
+    return [Fraction(weights[0], denominator ** m)
+            for m, weights in enumerate(counts)]
 
 
 def return_probability(gset: MarkedGSet, mu: StepMeasure, n: int,
@@ -225,15 +213,12 @@ def rho_lower_bound(gset: MarkedGSet, mu: StepMeasure, max_steps: int) -> dict:
 
 def _transition_rows(graph: SchreierGraph, mu: StepMeasure):
     vertices = sorted(graph.vertices, key=graph.gset.show_key)
-    index = {v: i for i, v in enumerate(vertices)}
+    row_of = {graph.ids[v]: row for row, v in enumerate(vertices)}
     rows: List[List[Tuple[int, float]]] = [[] for _ in vertices]
-    for v in vertices:
-        i = index[v]
-        for word, weight in mu.items():
-            target = graph.gset.act_word(v, word)
-            j = index.get(target)
-            if j is not None:
-                rows[i].append((j, float(weight)))
+    for word, weight in mu.items():
+        src, dst = graph.word_edges(word)
+        for i, j in zip(src.tolist(), dst.tolist()):
+            rows[row_of[i]].append((row_of[j], float(weight)))
     return vertices, rows
 
 
@@ -306,24 +291,22 @@ def truncated_rho(target: Union[SchreierGraph, MarkedGSet],
     Accepts a built SchreierGraph, or a MarkedGSet plus radius (in which case
     the free-group uniform walk uses the exact radial reduction).
     """
+    gset = target if isinstance(target, MarkedGSet) else target.gset
+    if mu is None:
+        mu = srw_measure(gset)
+    if not mu.symmetric:
+        raise ValidationError("truncated_rho needs a symmetric measure")
     if isinstance(target, MarkedGSet):
-        if radius is None:
-            raise ValidationError("truncated_rho on a gset needs a radius")
-        if mu is None:
-            mu = srw_measure(target)
+        if radius is None or radius < 0:
+            raise ValidationError(
+                "truncated_rho on a gset needs a radius >= 0")
         rank = _free_rank(target)
         if rank is not None and _is_uniform_srw(target, mu):
             return _radial_truncated_rho(rank, radius)
         graph = build_ball(target, radius)
     else:
         graph = target
-        if mu is None:
-            mu = srw_measure(graph.gset)
-    if not mu.symmetric:
-        raise ValidationError("truncated_rho needs a symmetric measure")
     vertices, rows = _transition_rows(graph, mu)
-    if not vertices:
-        raise ValidationError("empty vertex block")
     return _top_eigenvalue(rows, len(vertices), tol)
 
 
@@ -334,8 +317,7 @@ def operator_identity_residual(graph: SchreierGraph, mu: StepMeasure) -> float:
     (d*g)(x) = sum_y p1(x,y) g(x,y).  Both are assembled explicitly.
     """
     vertices, rows = _transition_rows(graph, mu)
-    index = {v: i for i, v in enumerate(vertices)}
-    interior = [index[v] for v in vertices if graph.is_interior(v)]
+    interior = [i for i, v in enumerate(vertices) if graph.is_interior(v)]
     size = len(vertices)
     transition = np.zeros((size, size))
     for i, row in enumerate(rows):
@@ -484,11 +466,3 @@ def expected_inverted_orbit_size(gset: MarkedGSet, mu: StepMeasure,
         cumulative += first_return[m]
         expected += 1 - cumulative
     return expected
-
-
-def distribution_csv(seq: List[Fraction]) -> str:
-    return "\n".join(f"{m},{value}" for m, value in enumerate(seq))
-
-
-def walk_report_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, default=str)

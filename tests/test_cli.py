@@ -61,6 +61,14 @@ GOLDEN_COMMANDS = [
     "graph --group cayley:free:2 --radius 1",
     "graph --group cayley:basilica --radius 1",
     "graph --gset orbit:grigorchuk:depth=2 --radius 2",
+    "walk return --group lamplighter --steps 8",
+    "walk return --group dihedral --steps 10",
+    "walk return --group cayley:grigorchuk --steps 6",
+    "walk invorbit --group lamplighter --steps 5 --trials 20 --seed 2",
+    "walk rho --gset orbit:grigorchuk:depth=4 --steps 8",
+    "walk truncated --gset coset:f2 --radius 3",
+    "cogrowth series --group lamplighter --length 6",
+    "cogrowth counts --group dihedral --length 8",
 ]
 
 
@@ -125,6 +133,22 @@ class TestWalk:
                               "--steps", "2", "--trials", "50", "--seed", "1")
         assert code == 0
         assert json.loads(out)["exactMeanSize"] == "5/2"
+
+
+    def test_coset_walk_of_sixteen_steps_stays_small(self, capsys,
+                                                     monkeypatch):
+        # the value is sum_x p_8(o,x)^2, which equals p_16(o,o) for this
+        # symmetric walk
+        monkeypatch.setenv("AMENLAB_CAP_MB", "64")
+        tracemalloc.start()
+        try:
+            code, out, _err = run(capsys, "walk", "return", "--gset",
+                                  "coset:f2", "--steps", "16")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (0, "65110119/1073741824\n")
+        assert peak < 20_000_000
 
 
 class TestFolner:
@@ -270,6 +294,8 @@ class TestInvalidInputExitsTwo:
         ("walk", "return", "--group", "free:2", "--steps", "-1"),
         ("walk", "return", "--group", "free:2", "--steps", "-1",
          "--precision", "float"),
+        ("walk", "truncated", "--group", "free:2", "--radius", "-1"),
+        ("walk", "truncated", "--group", "z:1", "--radius", "-1"),
         ("ca", "entropy", "--rule", "and:z", "--radius", "-1"),
         ("ca", "goe", "--rule", "and:z", "--radius", "-1"),
         ("ca", "mep", "--rule", "and:z", "--radius", "-1"),

@@ -48,6 +48,25 @@ class TestCayleyBalls:
         assert info.value.partial <= vertex_budget() + 1
 
 
+@pytest.mark.parametrize("spec, radius", [
+    ("z:2", 3), ("free:2", 3), ("coset:f2", 4), ("dihedral", 3),
+    ("cayley:grigorchuk", 3), ("orbit:grigorchuk:depth=4", 5),
+])
+def test_build_ball_acts_once_per_vertex_and_letter(monkeypatch, spec,
+                                                    radius):
+    gset = make_gset(spec)
+    calls = []
+    act = orbits.MarkedGSet.act
+
+    def counted(self, key, letter):
+        calls.append(letter)
+        return act(self, key, letter)
+
+    monkeypatch.setattr(orbits.MarkedGSet, "act", counted)
+    graph = build_ball(gset, radius)
+    assert len(calls) == len(graph.vertices) * len(gset.edge_letters())
+
+
 class TestSelfsimCanonicalizer:
     @pytest.mark.parametrize("depth", [1, 2])
     def test_shallow_signatures_fail_the_exact_check(self, monkeypatch,

@@ -2,6 +2,7 @@
 truncation, and inverted-orbit statistics."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,21 @@ class TestSpectralRadius:
     def test_truncated_rho_needs_radius_for_gsets(self):
         with pytest.raises(ValidationError):
             truncated_rho(make_gset("cayley:z:1"))
+
+    def test_truncated_rho_rejects_a_negative_radius(self):
+        for spec in ("cayley:free:2", "cayley:z:1"):  # radial and generic
+            with pytest.raises(ValidationError):
+                truncated_rho(make_gset(spec), radius=-1)
+
+    def test_asymmetric_measure_rejected_before_any_ball(self, monkeypatch):
+        # the radius-12 ball of free:3 passes the 100,000-vertex budget
+        monkeypatch.setenv("AMENLAB_CAP_MB", "20")
+        gset = make_gset("cayley:free:3")
+        mu = StepMeasure(gset, [(((0, 1),), Fraction(1))])
+        started = time.perf_counter()
+        with pytest.raises(ValidationError):
+            truncated_rho(gset, mu, radius=12)
+        assert time.perf_counter() - started < 0.1
 
 
 class TestOperatorIdentity:

@@ -652,10 +652,6 @@ class OverlapsFamily:
         return f"OverlapsFamily(n={self.n}, #Y={len(self.y)})"
 
 
-def overlaps_family(n: int) -> OverlapsFamily:
-    return OverlapsFamily(n)
-
-
 # -- duality spot check ----------------------------------------------------------
 
 def adjoint_duality_check(matrix: GroupRingMatrix, trials: int, seed: int,

@@ -54,6 +54,9 @@ class MarkedGSet:
         self.family = family
 
     def act(self, key, letter: Letter):
+        """The image of ``key`` under ``letter``.  The letter is validated;
+        ``key`` must be the base key or a value that ``act`` returned, since
+        the free and coset actions step from a canonical key."""
         gen, sign = letter
         if not 0 <= gen < len(self.names) or sign not in (1, -1):
             raise ValidationError(f"bad letter {letter!r}")
@@ -140,30 +143,38 @@ class SchreierGraph:
         return src, targets[src]
 
     def to_json(self) -> str:
-        show = self.gset.show_key
-        vertices = sorted(
-            ({"key": show(v), "depth": d} for v, d in self.depths.items()),
-            key=lambda entry: (entry["depth"], entry["key"]),
-        )
-        edges = sorted(
-            (
-                {
-                    "src": show(src),
-                    "gen": self.gset.letter_name(letter),
-                    "dst": show(dst),
-                }
-                for src, letter, dst in self.edges
-            ),
-            key=lambda e: (e["src"], e["gen"], e["dst"]),
-        )
+        """The ball as JSON: vertices by (depth, shown key), edges by shown
+        (src, gen, dst).  Shown keys and letter names are unique, so each
+        order is a lexsort of integer ranks."""
+        shown = [self.gset.show_key(key) for key in self.keys]
+        names = [self.gset.letter_name(letter) for letter in self.letters]
+        rank, gen_rank = _ranks(shown), _ranks(names)
+        depth = np.array([self.depths[key] for key in self.keys])
+        src, col = np.nonzero(self.table >= 0)
+        dst = self.table[src, col]
+        order = np.lexsort((rank, depth)).tolist()
+        depth = depth.tolist()
+        vertices = [{"key": shown[i], "depth": depth[i]} for i in order]
+        order = np.lexsort((rank[dst], gen_rank[col], rank[src]))
+        edges = [{"src": shown[i], "gen": names[c], "dst": shown[j]}
+                 for i, c, j in zip(src[order].tolist(), col[order].tolist(),
+                                    dst[order].tolist())]
         payload = {
             "group": self.gset.spec,
-            "basepoint": show(self.base_key),
+            "basepoint": shown[0],
             "radius": self.radius,
             "vertices": vertices,
             "edges": edges,
         }
         return json.dumps(payload, sort_keys=True)
+
+
+def _ranks(strings: List[str]) -> np.ndarray:
+    """The position of each string in the sorted list."""
+    rank = np.empty(len(strings), dtype=np.intp)
+    rank[sorted(range(len(strings)), key=strings.__getitem__)] = \
+        np.arange(len(strings))
+    return rank
 
 
 # -- coset action H\F2 ----------------------------------------------------
@@ -206,6 +217,29 @@ def coset_canonical(word: Word) -> Word:
     return tuple(tree)
 
 
+def _free_step(key: Word, letter: Letter) -> Word:
+    """``key letter`` freely reduced, for a reduced ``key``: the letter
+    cancels against the last one or is appended."""
+    gen, sign = letter
+    if key and key[-1] == (gen, -sign):
+        return key[:-1]
+    return key + (letter,)
+
+
+def _coset_step(key: Word, letter: Letter) -> Word:
+    """``coset_canonical(key + (letter,))`` for a canonical ``key``.  On
+    the ray (``()`` or b^k) a is a loop and b moves along it; a key
+    starting with b^-1 lies on the hanging tree and steps freely."""
+    if not key or key[0] == (_B, 1):
+        gen, sign = letter
+        if gen == _A:
+            return key
+        if sign == 1:
+            return key + (letter,)
+        return key[:-1] if key else ((_B, -1),)
+    return _free_step(key, letter)
+
+
 def coset_contains(word: Word) -> bool:
     """Membership of a word in H = <b^m a b^-m : m >= 0>."""
     return coset_canonical(word) == ()
@@ -219,12 +253,8 @@ def make_gset(spec: str) -> MarkedGSet:
     spec = spec.strip()
     if spec == "coset:f2":
         group = MarkedGroup.from_spec("free:2")
-
-        def act(key, letter):
-            return coset_canonical(key + (letter,))
-
         return MarkedGSet(
-            spec, group.names, group.involutions, (), act,
+            spec, group.names, group.involutions, (), _coset_step,
             show_key=lambda key: "H" if not key else "H " + group.show(key),
             group=group,
         )
@@ -241,7 +271,8 @@ def make_gset(spec: str) -> MarkedGSet:
         return group.compose(key, (letter,))
 
     return MarkedGSet(
-        spec, group.names, group.involutions, group.identity, act,
+        spec, group.names, group.involutions, group.identity,
+        _free_step if group.family == "free" else act,
         show_key=group.show, group=group,
     )
 

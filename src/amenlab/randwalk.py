@@ -59,6 +59,9 @@ class StepMeasure:
     def _normalize(gset: MarkedGSet, word: Word) -> Word:
         # free reduction is sound for every family (it never changes the element)
         flags = gset.involutions
+        for gen, sign in word:
+            if not 0 <= gen < len(flags) or sign not in (1, -1):
+                raise ValidationError(f"bad letter {(gen, sign)!r}")
         return _free_reduce(
             ((gen, 1 if flags[gen] else sign) for gen, sign in word),
             [gen for gen, flag in enumerate(flags) if flag],

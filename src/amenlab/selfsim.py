@@ -30,7 +30,6 @@ over.
 
 from __future__ import annotations
 
-import json
 import threading
 from typing import Dict, Optional, Tuple
 
@@ -473,7 +472,3 @@ def portrait(g: TreeAutomorphism, depth: int) -> dict:
             portrait(decomp.sections[1], depth - 1),
         ]
     return node
-
-
-def portrait_json(g: TreeAutomorphism, depth: int) -> str:
-    return json.dumps(portrait(g, depth), sort_keys=True)

@@ -69,6 +69,7 @@ GOLDEN_COMMANDS = [
     "walk truncated --gset coset:f2 --radius 3",
     "cogrowth series --group lamplighter --length 6",
     "cogrowth counts --group dihedral --length 8",
+    "graph --gset coset:f2 --radius 4",
 ]
 
 

@@ -4,9 +4,11 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amenlab import orbits
 from amenlab.errors import CapExceeded, ValidationError, vertex_budget
+from amenlab.groups import _free_reduce
 from amenlab.isoperimetry import growth_series
 from amenlab.orbits import (boundary_edges, build_ball, coset_canonical,
                             coset_contains, make_gset)
@@ -137,6 +139,59 @@ class TestCosetAction:
             assert self.gset.act(key, (0, 1)) == key
 
 
+STEP_SPECS = ["coset:f2", "free:1", "free:2", "free:3"]
+
+
+def _oracle(spec):
+    """The whole-word canonicalizer that the step action of ``spec``
+    replaces."""
+    reduce = coset_canonical if spec == "coset:f2" else _free_reduce
+    return lambda key, letter: reduce(key + (letter,))
+
+
+class TestStepActions:
+    """The free and coset actions step from a canonical key by its last
+    letter (and the ray for the coset); the whole-word reductions are the
+    oracles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=st.sampled_from(STEP_SPECS), data=st.data())
+    def test_act_matches_the_oracle_along_random_walks(self, spec, data):
+        gset = make_gset(spec)
+        oracle = _oracle(spec)
+        letters = gset.edge_letters()
+        walk = data.draw(st.lists(st.sampled_from(letters), max_size=40))
+        keys = [gset.base_key]
+        for letter in walk:
+            keys.append(oracle(keys[-1], letter))
+        for key in keys:
+            for probe in letters:
+                assert gset.act(key, probe) == oracle(key, probe)
+
+    @pytest.mark.parametrize("spec", STEP_SPECS)
+    def test_balls_match_balls_of_the_oracle(self, spec):
+        gset = make_gset(spec)
+        reference = orbits.MarkedGSet(
+            gset.spec, gset.names, gset.involutions, gset.base_key,
+            _oracle(spec), gset.show_key)
+        for radius in range(7):
+            graph = build_ball(gset, radius)
+            expected = build_ball(reference, radius)
+            assert graph.keys == expected.keys
+            assert graph.depths == expected.depths
+            assert (graph.table == expected.table).all()
+
+    def test_act_path_calls_no_whole_word_reduction(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("whole-word reduction on the act path")
+
+        monkeypatch.setattr(orbits, "coset_canonical", refuse)
+        monkeypatch.setattr(orbits, "_free_reduce", refuse)
+        monkeypatch.setattr(orbits.MarkedGroup, "compose", refuse)
+        for spec in STEP_SPECS:
+            build_ball(make_gset(spec), 4)
+
+
 class TestBoundary:
     def test_rejects_shell_subsets(self):
         graph = build_ball(make_gset("cayley:z:1"), 3)
@@ -155,7 +210,39 @@ class TestBoundary:
         assert len(boundary_edges(graph, interval)) == 2
 
 
+def _string_sorted_json(graph) -> str:
+    """``to_json`` as it was before it worked on the table: two shown keys
+    per edge, and a sort of the entries by their strings."""
+    show = graph.gset.show_key
+    vertices = sorted(
+        ({"key": show(v), "depth": d} for v, d in graph.depths.items()),
+        key=lambda entry: (entry["depth"], entry["key"]),
+    )
+    edges = sorted(
+        ({"src": show(src), "gen": graph.gset.letter_name(letter),
+          "dst": show(dst)} for src, letter, dst in graph.edges),
+        key=lambda e: (e["src"], e["gen"], e["dst"]),
+    )
+    payload = {
+        "group": graph.gset.spec,
+        "basepoint": show(graph.base_key),
+        "radius": graph.radius,
+        "vertices": vertices,
+        "edges": edges,
+    }
+    return json.dumps(payload, sort_keys=True)
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("spec, radius", [
+        ("z:2", 3), ("free:3", 3), ("coset:f2", 6), ("lamplighter", 4),
+        ("dihedral", 5), ("zmod:3,4", 4), ("cayley:grigorchuk", 3),
+        ("orbit:basilica:depth=4", 6),
+    ])
+    def test_json_equals_the_string_sort(self, spec, radius):
+        graph = build_ball(make_gset(spec), radius)
+        assert graph.to_json() == _string_sorted_json(graph)
+
     def test_json_is_deterministic(self):
         a = build_ball(make_gset("cayley:z:1"), 2).to_json()
         b = build_ball(make_gset("cayley:z:1"), 2).to_json()

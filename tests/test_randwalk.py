@@ -28,6 +28,14 @@ class TestMeasures:
         with pytest.raises(ValidationError):
             StepMeasure(gset, [(((0, 1),), Fraction(1, 3))])
 
+    def test_unknown_generator_rejected(self):
+        with pytest.raises(ValidationError):
+            StepMeasure(make_gset("z:1"), [(((5, 1),), Fraction(1))])
+
+    def test_sign_other_than_plus_minus_one_rejected(self):
+        with pytest.raises(ValidationError):
+            StepMeasure(make_gset("z:1"), [(((0, 2),), Fraction(1))])
+
     def test_lazy_measure(self):
         mu = lazy_measure(srw_measure(make_gset("cayley:z:1")))
         masses = dict(mu.items())

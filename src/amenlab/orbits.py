@@ -149,12 +149,11 @@ class SchreierGraph:
         shown = [self.gset.show_key(key) for key in self.keys]
         names = [self.gset.letter_name(letter) for letter in self.letters]
         rank, gen_rank = _ranks(shown), _ranks(names)
-        depth = np.array([self.depths[key] for key in self.keys])
+        depth = [self.depths[key] for key in self.keys]
+        vertices = [{"key": shown[i], "depth": depth[i]}
+                    for i in np.lexsort((rank, depth)).tolist()]
         src, col = np.nonzero(self.table >= 0)
         dst = self.table[src, col]
-        order = np.lexsort((rank, depth)).tolist()
-        depth = depth.tolist()
-        vertices = [{"key": shown[i], "depth": depth[i]} for i in order]
         order = np.lexsort((rank[dst], gen_rank[col], rank[src]))
         edges = [{"src": shown[i], "gen": names[c], "dst": shown[j]}
                  for i, c, j in zip(src[order].tolist(), col[order].tolist(),

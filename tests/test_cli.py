@@ -70,6 +70,19 @@ GOLDEN_COMMANDS = [
     "cogrowth series --group lamplighter --length 6",
     "cogrowth counts --group dihedral --length 8",
     "graph --gset coset:f2 --radius 4",
+    "folner --group z:2 --radius 4",
+    "folner --group lamplighter --radius 4",
+    "folner --group dihedral --radius 5",
+    "folner --group free:2 --radius 3",
+    "folner --gset orbit:grigorchuk:depth=3 --radius 4",
+    "folner --group free:2 --radius 3 --mode exhaustive --epsilon 1/4 "
+    "--cap-subset-size 3",
+    "folner --group z:2 --radius 3 --mode exhaustive --epsilon 1/5 "
+    "--cap-subset-size 5",
+    "folner --gset coset:f2 --radius 4 --mode anneal --seed 3 --steps 300",
+    "folner --group z:2 --radius 3 --fol 1",
+    "folner --group lamplighter --radius 3 --fol 1",
+    "paradox verify --radius 5",
 ]
 
 

@@ -7,6 +7,13 @@ Two notions of boundary ratio appear:
 * the symmetric-difference condition #(F delta F s) < #F / n (strict!) that
   defines the Folner function ``fol_exact``.
 
+The searches and ``fol_exact`` run on the ids of the compiled ball
+(``graph.table``) through one escape count, #{v in F : v s not in F} per
+letter s.  Members are interior, so every image is in the table, and s acts
+bijectively, so #(F delta F s) is twice the escape count: both notions read
+the same number.  ``folner_ratios`` and ``worst_ratio`` take arbitrary keys
+and act on them; they are the oracle of the id-based kernels.
+
 All ratios are exact rationals.  ``fol_exact`` enumerates every interior
 subset up to the size cap; on a truncated ball its value is exact for the full
 G-set only when an interior witness exists (the enumeration reports exactly
@@ -20,7 +27,7 @@ import json
 import math
 import random
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from .errors import CapExceeded, ValidationError
 from .orbits import MarkedGSet, SchreierGraph, build_ball, make_gset
@@ -98,8 +105,9 @@ def growth_series(spec: str, n: int) -> GrowthSeries:
 
 
 def folner_ratios(gset: MarkedGSet, subset) -> Dict[str, Fraction]:
-    """Exact one-sided ratios #(F s \\ F) / #F for every generator letter."""
-    members = set(subset)
+    """Exact one-sided ratios #(F s \\ F) / #F for every generator letter.
+    Members are reduced to canonical keys first, so each element counts once."""
+    members = {gset.canonical(v) for v in subset}
     if not members:
         raise ValidationError("Folner candidate set must be nonempty")
     out: Dict[str, Fraction] = {}
@@ -118,103 +126,96 @@ def folner_search(graph: SchreierGraph, epsilon: Fraction,
                   size_cap: int = 12, steps: int = 2000) -> FolnerReport:
     """Look for an interior set with worst one-sided ratio < epsilon."""
     epsilon = Fraction(epsilon)
-    gset = graph.gset
-    interior = sorted(graph.interior(), key=gset.show_key)
-    if not interior:
+    columns = graph.table.T.tolist()
+    pool = _interior_ids(graph)
+    if not pool:
         raise ValidationError("no interior vertices; build a larger ball")
     if mode == "exhaustive":
-        found = _exhaustive_below(gset, interior, epsilon, size_cap)
-        if found is not None:
-            ratios = folner_ratios(gset, found)
-            return FolnerReport(gset, found, ratios, mode, epsilon, True)
-        best = min(
-            (frozenset(c)
-             for k in range(1, min(size_cap, len(interior)) + 1)
-             for c in itertools.combinations(interior, k)),
-            key=lambda c: worst_ratio(gset, c),
-        )
-        return FolnerReport(gset, best, folner_ratios(gset, best), mode,
-                            epsilon, False)
-    if mode == "greedy":
-        return _greedy_search(graph, epsilon)
-    if mode == "anneal":
+        if size_cap < 1:
+            raise ValidationError("subset size cap must be >= 1")
+        best = _exhaustive_search(columns, pool, epsilon, size_cap)
+    elif mode == "greedy":
+        best = _greedy_search(columns, pool, epsilon)
+    elif mode == "anneal":
         if seed is None:
             raise ValidationError("anneal mode requires a seed")
-        return _anneal_search(graph, epsilon, seed, steps)
-    raise ValidationError(f"unknown search mode {mode!r}")
+        best = _anneal_search(graph, columns, pool, epsilon, seed, steps)
+    else:
+        raise ValidationError(f"unknown search mode {mode!r}")
+    ratios = {graph.gset.letter_name(letter): Fraction(escaped, len(best))
+              for letter, escaped in zip(graph.letters,
+                                         _escapes(columns, best))}
+    return FolnerReport(graph.gset, [graph.keys[v] for v in best], ratios,
+                        mode, epsilon, max(ratios.values()) < epsilon)
 
 
-def _exhaustive_below(gset, interior, epsilon, size_cap):
-    top = min(size_cap, len(interior))
-    _combo_guard(len(interior), top)
-    for k in range(1, top + 1):
-        for combo in itertools.combinations(interior, k):
-            members = frozenset(combo)
-            if worst_ratio(gset, members) < epsilon:
-                return members
-    return None
+def _interior_ids(graph: SchreierGraph) -> List[int]:
+    """Interior ids ordered by shown key; BFS ids put the interior first."""
+    show, keys = graph.gset.show_key, graph.keys
+    return sorted(range(len(graph.interior())), key=lambda v: show(keys[v]))
 
 
-def _greedy_search(graph: SchreierGraph, epsilon: Fraction) -> FolnerReport:
-    gset = graph.gset
-    current = {graph.base_key}
-    best = frozenset(current)
-    best_worst = worst_ratio(gset, current)
+def _escapes(columns: List[List[int]], members) -> List[int]:
+    """#{v in F : v s not in F} for the letter s of each table column.
+    Members are interior, so every image is a table id."""
+    inside = set(members)
+    return [sum(column[v] not in inside for v in inside)
+            for column in columns]
+
+
+def _worst(columns, members) -> Fraction:
+    return Fraction(max(_escapes(columns, members)), len(members))
+
+
+def _exhaustive_search(columns, pool, epsilon, size_cap):
+    """The first set with worst ratio < epsilon, else the first minimum."""
+    best = best_worst = None
+    for combo in _subsets(pool, size_cap):
+        worst = _worst(columns, combo)
+        if best is None or worst < best_worst:
+            best, best_worst = combo, worst
+            if worst < epsilon:
+                break
+    return best
+
+
+def _greedy_search(columns, pool, epsilon):
+    rank = {v: i for i, v in enumerate(pool)}  # ties break on the shown key
+    current = {0}  # the base point
+    best, best_worst = frozenset(current), _worst(columns, current)
     while best_worst >= epsilon:
-        candidates = [
-            v
-            for u in current
-            for _letter, v in graph.out_edges(u)
-            if v not in current and graph.is_interior(v)
-        ]
+        candidates = {column[u] for u in current for column in columns}
+        candidates = [v for v in candidates - current if v in rank]
         if not candidates:
             break
-        scored = [
-            (worst_ratio(gset, current | {v}), gset.show_key(v), v)
-            for v in set(candidates)
-        ]
-        scored.sort(key=lambda t: (t[0], t[1]))
-        current.add(scored[0][2])
-        w = worst_ratio(gset, current)
-        if w < best_worst:
-            best, best_worst = frozenset(current), w
-    success = best_worst < epsilon
-    return FolnerReport(gset, best, folner_ratios(gset, best), "greedy",
-                        epsilon, success)
+        worst, _rank, v = min((_worst(columns, current | {v}), rank[v], v)
+                              for v in candidates)
+        current.add(v)
+        if worst < best_worst:
+            best, best_worst = frozenset(current), worst
+    return best
 
 
-def _anneal_search(graph: SchreierGraph, epsilon: Fraction, seed: int,
-                   steps: int) -> FolnerReport:
-    gset = graph.gset
+def _anneal_search(graph, columns, pool, epsilon, seed, steps):
     rng = random.Random(seed)
-    interior = sorted(graph.interior(), key=gset.show_key)
-    current = {v for v in interior if graph.depths[v] <= 1}
-    if not current:
-        current = {graph.base_key}
-    energy = worst_ratio(gset, current)
+    current = {v for v in pool if graph.depths[graph.keys[v]] <= 1}
+    energy = _worst(columns, current)
     best, best_worst = frozenset(current), energy
     temperature = 0.5
     for _ in range(steps):
         if best_worst < epsilon:
             break
-        v = rng.choice(interior)
-        proposal = set(current)
-        if v in proposal:
-            if len(proposal) == 1:
-                continue
-            proposal.discard(v)
-        else:
-            proposal.add(v)
-        new_energy = worst_ratio(gset, proposal)
+        proposal = current ^ {rng.choice(pool)}
+        if not proposal:
+            continue
+        new_energy = _worst(columns, proposal)
         delta = float(new_energy - energy)
         if delta <= 0 or rng.random() < math.exp(-delta / temperature):
             current, energy = proposal, new_energy
             if energy < best_worst:
                 best, best_worst = frozenset(current), energy
         temperature *= 0.995
-    success = best_worst < epsilon
-    return FolnerReport(gset, best, folner_ratios(gset, best), "anneal",
-                        epsilon, success)
+    return best
 
 
 def fol_exact(graph: SchreierGraph, n: int,
@@ -226,27 +227,25 @@ def fol_exact(graph: SchreierGraph, n: int,
     """
     if n < 1:
         raise ValidationError("Folner function argument must be >= 1")
-    gset = graph.gset
-    letters = gset.edge_letters()
-    interior = sorted(graph.interior(), key=gset.show_key)
-    top = min(size_cap, len(interior))
-    _combo_guard(len(interior), top)
-    for k in range(1, top + 1):
-        for combo in itertools.combinations(interior, k):
-            members = frozenset(combo)
-            if _fol_condition(gset, members, letters, n):
-                return k
+    columns = graph.table.T.tolist()
+    for combo in _subsets(_interior_ids(graph), size_cap):
+        if _fol_condition(columns, combo, n):
+            return len(combo)
     return None
 
 
-def _fol_condition(gset, members, letters, n) -> bool:
-    size = len(members)
-    for letter in letters:
-        translated = {gset.act(v, letter) for v in members}
-        sym_diff = len(members ^ translated)
-        if n * sym_diff >= size:  # need sym_diff < size / n strictly
-            return False
-    return True
+def _fol_condition(columns, members, n) -> bool:
+    """#(F delta F s) = 2 escapes < #F / n, strictly, for every letter s."""
+    return 2 * n * max(_escapes(columns, members)) < len(members)
+
+
+def _subsets(pool, size_cap):
+    """The nonempty subsets of ``pool`` with at most ``size_cap`` members,
+    by size, then in combination order."""
+    top = min(size_cap, len(pool))
+    _combo_guard(len(pool), top)
+    for k in range(1, top + 1):
+        yield from itertools.combinations(pool, k)
 
 
 def _combo_guard(pool: int, top: int):

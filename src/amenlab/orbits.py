@@ -37,13 +37,15 @@ from .groups import Letter, MarkedGroup, Word, _free_reduce, _parse_rank
 
 
 class MarkedGSet:
-    """A right action with canonical vertex keys."""
+    """A right action with canonical vertex keys; ``canonical`` maps any
+    key of the family to the canonical key of the same vertex."""
 
     def __init__(self, spec: str, names: Tuple[str, ...],
                  involutions: Tuple[bool, ...], base_key,
                  act_letter: Callable, show_key: Callable,
                  group: Optional[MarkedGroup] = None,
-                 family: Optional[str] = None):
+                 family: Optional[str] = None,
+                 canonical: Optional[Callable] = None):
         self.spec = spec
         self.names = names
         self.involutions = involutions
@@ -52,6 +54,7 @@ class MarkedGSet:
         self.show_key = show_key
         self.group = group
         self.family = family
+        self.canonical = canonical or (lambda key: key)
 
     def act(self, key, letter: Letter):
         """The image of ``key`` under ``letter``.  The letter is validated;
@@ -255,7 +258,7 @@ def make_gset(spec: str) -> MarkedGSet:
         return MarkedGSet(
             spec, group.names, group.involutions, (), _coset_step,
             show_key=lambda key: "H" if not key else "H " + group.show(key),
-            group=group,
+            group=group, canonical=coset_canonical,
         )
     if spec.startswith("orbit:"):
         return _make_orbit(spec)
@@ -272,7 +275,7 @@ def make_gset(spec: str) -> MarkedGSet:
     return MarkedGSet(
         spec, group.names, group.involutions, group.identity,
         _free_step if group.family == "free" else act,
-        show_key=group.show, group=group,
+        show_key=group.show, group=group, canonical=group.normal_form,
     )
 
 
@@ -353,6 +356,7 @@ def _make_selfsim_cayley(spec: str, family: str) -> MarkedGSet:
     return MarkedGSet(
         spec, names, involutions, identity, canonicalizer.act,
         show_key=lambda g: g.show(), family=family,
+        canonical=canonicalizer.canon,
     )
 
 

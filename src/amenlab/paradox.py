@@ -8,15 +8,20 @@ Conventions for the free group F2 = <x1, x2>:
 * Z1 = reduced words ending in x2, together with {1, x2^-1, x2^-2, ...};
   Z2 = complement;
 * the translated cells Y1, Y2.x1^-1, Z1, Z2.x2^-1 partition the whole group.
+
+Balls of F2 are the keys of ``build_ball(make_gset("free:2"), r)``, whose
+(gen, sign) letters are those of F2 = <x1, x2>: one BFS gives B(r) and, by
+depth, B(r - 1), and the ball obeys the memory cap like every other ball.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from .errors import CapExceeded, ValidationError
 from .groups import MarkedGroup, Word
+from .orbits import build_ball, make_gset
 
 F2 = MarkedGroup("free", 2, ["x1", "x2"], [False, False])
 
@@ -74,21 +79,6 @@ def translated_cell(word: Word) -> str:
     raise AssertionError("the four cells failed to cover a word")
 
 
-def _ball(radius: int) -> List[Word]:
-    out = [()]
-    frontier: List[Word] = [()]
-    for _ in range(radius):
-        new = []
-        for word in frontier:
-            for letter in ((0, 1), (0, -1), (1, 1), (1, -1)):
-                if word and word[-1] == (letter[0], -letter[1]):
-                    continue
-                new.append(word + (letter,))
-        out.extend(new)
-        frontier = new
-    return out
-
-
 def paradox_verify(radius: int) -> dict:
     """Check the decomposition on the ball of the given radius.
 
@@ -96,10 +86,8 @@ def paradox_verify(radius: int) -> dict:
     translated cells are checked to be pairwise disjoint and to cover
     B(radius - 1).  All violations are reported, none raised.
     """
-    if radius < 0:
-        raise ValidationError("radius must be >= 0")
-    ball = _ball(radius)
-    inner = set(_ball(radius - 1)) if radius >= 1 else set()
+    graph = build_ball(make_gset("free:2"), radius)
+    ball, inner = graph.keys, set(graph.interior())
     violations: List[str] = []
     pieces = {"Y1": set(), "Y2": set(), "Z1": set(), "Z2": set()}
     for word in ball:
@@ -154,13 +142,9 @@ def doubling_map(word: Word) -> Word:
 
 def doubling_preimages(target: Word, search_radius: int) -> List[Word]:
     """All words in B(search_radius) mapping to the target."""
-    if search_radius < 0:
-        raise ValidationError("radius must be >= 0")
+    ball = build_ball(make_gset("free:2"), search_radius).keys
     target = F2.normal_form(target)
-    return sorted(
-        (w for w in _ball(search_radius) if doubling_map(w) == target),
-        key=F2.show,
-    )
+    return sorted((w for w in ball if doubling_map(w) == target), key=F2.show)
 
 
 # -- Hall matchings --------------------------------------------------------------

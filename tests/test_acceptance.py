@@ -23,8 +23,7 @@ from amenlab.groups import MarkedGroup
 from amenlab.isoperimetry import (csc_check, fol_exact, folner_ratios,
                                   growth_series)
 from amenlab.orbits import boundary_edges, build_ball, make_gset
-from amenlab.paradox import (doubling_map, hall_matching, paradox_verify,
-                             _ball)
+from amenlab.paradox import doubling_map, hall_matching, paradox_verify
 from amenlab.randwalk import (kesten_check, return_sequence, rho_lower_bound,
                               srw_measure, truncated_rho)
 from amenlab.selfsim import (ETA, element_order, equals_selfsim, eta_norm,
@@ -317,8 +316,9 @@ class TestParadoxicalDecomposition:
     def test_doubling_map_is_two_to_one(self):
         # preimages of any word of length <= 7 have length <= 8, so counting
         # over B(8) is exhaustive
-        images = Counter(doubling_map(w) for w in _ball(8))
-        for target in _ball(7):
+        ball = build_ball(make_gset("free:2"), 8)
+        images = Counter(doubling_map(w) for w in ball.keys)
+        for target in ball.interior():
             assert images[target] == 2
 
     @pytest.mark.slow

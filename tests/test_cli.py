@@ -268,6 +268,19 @@ class TestParadox:
         # the expanded word would be a 10^8-entry tuple, 800 MB of pointers
         assert peak < 10_000_000
 
+    @pytest.mark.parametrize("argv", [
+        ("paradox", "verify", "--radius", "8"),
+        ("paradox", "preimages", "--word", "x1", "--radius", "8"),
+        ("graph", "--group", "free:2", "--radius", "8"),
+    ])
+    def test_ball_of_radius_eight_obeys_the_memory_cap(self, capsys,
+                                                       monkeypatch, argv):
+        # B(8) of F2 has 13,121 words; a 1 MB cap allows 5,000 vertices
+        monkeypatch.setenv("AMENLAB_CAP_MB", "1")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("cap exceeded:")
+
 
 class TestTopfull:
     def test_language(self, capsys):
@@ -314,9 +327,12 @@ class TestInvalidInputExitsTwo:
         ("ca", "goe", "--rule", "and:z", "--radius", "-1"),
         ("ca", "mep", "--rule", "and:z", "--radius", "-1"),
         ("paradox", "preimages", "--radius", "-1"),
+        ("paradox", "verify", "--radius", "-1"),
         ("graph", "--gset", "orbit:grigorchuk:depth=x", "--radius", "1"),
         ("growth", "--group", "cayley:coset:f2", "--radius", "1"),
         ("ca", "step", "--rule", "life"),
+        ("folner", "--group", "z:1", "--radius", "3", "--mode",
+         "exhaustive", "--cap-subset-size", "0"),
     ])
     def test_exit_two(self, capsys, argv):
         code, out, err = run(capsys, *argv)

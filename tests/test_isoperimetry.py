@@ -1,10 +1,15 @@
 """Growth series, Folner search modes, the exact Folner function and the
 volume lower bound check."""
 
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from amenlab import isoperimetry, orbits
 from amenlab.errors import CapExceeded, ValidationError
 from amenlab.isoperimetry import (csc_check, fol_exact, folner_ratios,
                                   folner_search, growth_series, worst_ratio)
@@ -35,6 +40,21 @@ class TestRatios:
     def test_empty_set_rejected(self):
         with pytest.raises(ValidationError):
             folner_ratios(make_gset("cayley:z:1"), [])
+
+    def test_members_are_reduced_before_counting(self):
+        free = make_gset("free:2")
+        a, b = (0, 1), (1, 1)
+        assert folner_ratios(free, [(), (a,), (a, b, (1, -1))]) == \
+            folner_ratios(free, [(), (a,)])
+        assert folner_ratios(free, [(), (a,)])["a"] == Fraction(1, 2)
+        # a a^-1 is the identity
+        assert worst_ratio(free, [(a, (0, -1)), ()]) == 1
+        # H a = H in the coset graph
+        assert folner_ratios(make_gset("coset:f2"), [(), (a,)]) == {
+            "a": 0, "a^-1": 0, "b": 1, "b^-1": 1}
+        z2 = make_gset("z:2")
+        assert folner_ratios(z2, [(), (a, (0, -1)), (b,)]) == \
+            folner_ratios(z2, [(), (b,)])
 
     def test_box_in_z2(self):
         gset = make_gset("cayley:z:2")
@@ -109,3 +129,133 @@ class TestVolumeBound:
         result = csc_check("z:2", 1)
         assert result["fol"] == 7
         assert result["holds"]
+
+
+# -- the id-based kernels against the key-based recipes they replace --------
+
+ORACLE_BALLS = {
+    "z:1": 6, "z:2": 3, "lamplighter": 3, "dihedral": 5, "coset:f2": 4,
+    "free:2": 2, "orbit:basilica:depth=3": 4,
+}
+_GRAPHS = {}
+
+
+def _graph(spec):
+    if spec not in _GRAPHS:
+        _GRAPHS[spec] = build_ball(make_gset(spec), ORACLE_BALLS[spec])
+    return _GRAPHS[spec]
+
+
+def _sym_diff_condition(gset, members, n):
+    """#(F delta F s) < #F / n for every letter, on keys."""
+    for letter in gset.edge_letters():
+        translated = {gset.act(v, letter) for v in members}
+        if n * len(members ^ translated) >= len(members):
+            return False
+    return True
+
+
+def _key_search(graph, epsilon, mode, seed=None, size_cap=12, steps=2000):
+    """The searches as they ran on keys; returns the chosen set."""
+    gset = graph.gset
+    interior = sorted(graph.interior(), key=gset.show_key)
+    if mode == "exhaustive":
+        combos = [frozenset(c) for k in range(1, min(size_cap,
+                                                      len(interior)) + 1)
+                  for c in itertools.combinations(interior, k)]
+        found = [c for c in combos if worst_ratio(gset, c) < epsilon]
+        return found[0] if found else min(
+            combos, key=lambda c: worst_ratio(gset, c))
+    if mode == "greedy":
+        current = {graph.base_key}
+        best, best_worst = frozenset(current), worst_ratio(gset, current)
+        while best_worst >= epsilon:
+            candidates = {v for u in current for _letter, v in
+                          graph.out_edges(u)
+                          if v not in current and graph.is_interior(v)}
+            if not candidates:
+                break
+            v = min(candidates, key=lambda v: (
+                worst_ratio(gset, current | {v}), gset.show_key(v)))
+            current.add(v)
+            if worst_ratio(gset, current) < best_worst:
+                best, best_worst = frozenset(current), \
+                    worst_ratio(gset, current)
+        return best
+    rng = random.Random(seed)
+    current = {v for v in interior if graph.depths[v] <= 1}
+    energy = worst_ratio(gset, current)
+    best, best_worst = frozenset(current), energy
+    temperature = 0.5
+    for _ in range(steps):
+        if best_worst < epsilon:
+            break
+        v = rng.choice(interior)
+        proposal = set(current)
+        if v in proposal:
+            if len(proposal) == 1:
+                continue
+            proposal.discard(v)
+        else:
+            proposal.add(v)
+        new_energy = worst_ratio(gset, proposal)
+        delta = float(new_energy - energy)
+        if delta <= 0 or rng.random() < math.exp(-delta / temperature):
+            current, energy = proposal, new_energy
+            if energy < best_worst:
+                best, best_worst = frozenset(current), energy
+        temperature *= 0.995
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=st.sampled_from(sorted(ORACLE_BALLS)), data=st.data())
+def test_escape_counts_match_the_key_recipes(spec, data):
+    graph = _graph(spec)
+    gset = graph.gset
+    ids = data.draw(st.sets(st.integers(0, len(graph.interior()) - 1),
+                            min_size=1, max_size=8))
+    keys = [graph.keys[v] for v in ids]
+    columns = graph.table.T.tolist()
+    escapes = isoperimetry._escapes(columns, ids)
+    ratios = {gset.letter_name(letter): Fraction(e, len(ids))
+              for letter, e in zip(graph.letters, escapes)}
+    assert ratios == folner_ratios(gset, keys)
+    for letter, e in zip(graph.letters, escapes):
+        image = {gset.act(v, letter) for v in keys}
+        assert len(set(keys) ^ image) == 2 * e
+    for n in (1, 2, 3, 5):
+        assert isoperimetry._fol_condition(columns, ids, n) == \
+            _sym_diff_condition(gset, set(keys), n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=st.sampled_from(sorted(ORACLE_BALLS)),
+       mode=st.sampled_from(["exhaustive", "greedy", "anneal"]),
+       epsilon=st.sampled_from([Fraction(1, 100), Fraction(1, 4),
+                                Fraction(1, 3), Fraction(1, 2), Fraction(1)]),
+       size_cap=st.integers(1, 3), seed=st.integers(0, 50))
+def test_searches_match_the_key_recipes(spec, mode, epsilon, size_cap, seed):
+    graph = _graph(spec)
+    report = folner_search(graph, epsilon, mode=mode, seed=seed,
+                           size_cap=size_cap, steps=100)
+    expected = _key_search(graph, epsilon, mode, seed=seed,
+                           size_cap=size_cap, steps=100)
+    assert sorted(report.subset, key=graph.gset.show_key) == \
+        sorted(expected, key=graph.gset.show_key)
+    assert report.ratios == folner_ratios(graph.gset, expected)
+    assert report.success == (worst_ratio(graph.gset, expected) < epsilon)
+
+
+@pytest.mark.parametrize("spec", ["z:1", "z:2", "coset:f2", "lamplighter"])
+def test_kernels_make_no_act_call_once_the_ball_is_built(monkeypatch, spec):
+    graph = _graph(spec)
+
+    def refuse(self, key, letter):
+        raise AssertionError("act called after the ball was built")
+
+    monkeypatch.setattr(orbits.MarkedGSet, "act", refuse)
+    for mode in ("exhaustive", "greedy", "anneal"):
+        folner_search(graph, Fraction(1, 3), mode=mode, seed=1, size_cap=3,
+                      steps=50)
+    fol_exact(graph, 1, size_cap=4)

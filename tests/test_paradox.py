@@ -7,10 +7,38 @@ import random
 import pytest
 
 from amenlab.errors import CapExceeded, ValidationError
+from amenlab.orbits import build_ball, make_gset
 from amenlab.paradox import (F2, MatchingResult, csb_merge, doubling_map,
                              doubling_injection_pair, doubling_preimages,
                              f2_piece, hall_matching, paradox_verify,
-                             translated_cell, _ball)
+                             translated_cell)
+
+
+def _ball(radius):
+    """B(radius) of F2, in BFS order."""
+    return build_ball(make_gset("free:2"), radius).keys
+
+
+def _private_ball(radius):
+    """The BFS that ``paradox`` once ran on its own: reduced words, extended
+    by x1, x1^-1, x2, x2^-1 in turn, shell by shell."""
+    out = [()]
+    frontier = [()]
+    for _ in range(radius):
+        new = []
+        for word in frontier:
+            for letter in ((0, 1), (0, -1), (1, 1), (1, -1)):
+                if word and word[-1] == (letter[0], -letter[1]):
+                    continue
+                new.append(word + (letter,))
+        out.extend(new)
+        frontier = new
+    return out
+
+
+def test_f2_ball_keys_are_the_private_bfs_in_order():
+    for radius in range(7):
+        assert _ball(radius) == _private_ball(radius), radius
 
 
 class TestPieces:

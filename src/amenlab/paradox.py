@@ -12,12 +12,14 @@ Conventions for the free group F2 = <x1, x2>:
 Balls of F2 are the keys of ``build_ball(make_gset("free:2"), r)``, whose
 (gen, sign) letters are those of F2 = <x1, x2>: one BFS gives B(r) and, by
 depth, B(r - 1), and the ball obeys the memory cap like every other ball.
+Only the keys are kept, so the neighbour table is freed before the pieces
+are built.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import CapExceeded, ValidationError
 from .groups import MarkedGroup, Word
@@ -79,6 +81,12 @@ def translated_cell(word: Word) -> str:
     raise AssertionError("the four cells failed to cover a word")
 
 
+def _f2_ball(radius: int) -> Tuple[List[Word], List[Word]]:
+    """B(radius) of F2 in BFS order, and B(radius - 1) from its depths."""
+    graph = build_ball(make_gset("free:2"), radius)
+    return graph.keys, graph.interior()
+
+
 def paradox_verify(radius: int) -> dict:
     """Check the decomposition on the ball of the given radius.
 
@@ -86,8 +94,7 @@ def paradox_verify(radius: int) -> dict:
     translated cells are checked to be pairwise disjoint and to cover
     B(radius - 1).  All violations are reported, none raised.
     """
-    graph = build_ball(make_gset("free:2"), radius)
-    ball, inner = graph.keys, set(graph.interior())
+    ball, inner = _f2_ball(radius)
     violations: List[str] = []
     pieces = {"Y1": set(), "Y2": set(), "Z1": set(), "Z2": set()}
     for word in ball:
@@ -113,7 +120,7 @@ def paradox_verify(radius: int) -> dict:
             sample = F2.show(next(iter(overlap)))
             violations.append(f"{name_a} meets {name_b} (e.g. {sample})")
     union = set().union(*(s for _name, s in translated))
-    missing = sorted(inner - union, key=F2.show)
+    missing = sorted((w for w in inner if w not in union), key=F2.show)
     if missing:
         violations.extend(f"uncovered {F2.show(w)}" for w in missing)
     return {
@@ -142,7 +149,7 @@ def doubling_map(word: Word) -> Word:
 
 def doubling_preimages(target: Word, search_radius: int) -> List[Word]:
     """All words in B(search_radius) mapping to the target."""
-    ball = build_ball(make_gset("free:2"), search_radius).keys
+    ball, _inner = _f2_ball(search_radius)
     target = F2.normal_form(target)
     return sorted((w for w in ball if doubling_map(w) == target), key=F2.show)
 

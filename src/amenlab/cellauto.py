@@ -75,12 +75,9 @@ class ZdSpace:
 class InvolutionProductSpace:
     """Free product of copies of Z/2: sites are reduced strings, e.g. 'abac'.
 
-    A site space, deliberately not a registered group spec: a rule reads its
-    sites through ``mul`` by multi-letter memory steps, its patterns are
-    keyed by these strings, and its windows come sorted by (length, string),
-    the orders its Garden-of-Eden certificates are printed in.  A compiled
-    ball of single-letter edges would have to be mapped back to strings on
-    every read, for windows of a few hundred sites.
+    Deliberately a site space, not a registered group spec: rules read sites
+    through ``mul`` by multi-letter memory steps, and patterns and printed
+    certificates are keyed by these strings in (length, string) order.
     """
 
     def __init__(self, letters: str = "abc"):

@@ -60,24 +60,25 @@ class GrowthSeries:
 
 
 class FolnerReport:
-    """A candidate Folner set with exact per-generator ratios."""
+    """A candidate Folner set with exact per-generator ratios; it succeeds
+    when its worst ratio is below epsilon."""
 
     def __init__(self, gset: MarkedGSet, subset, ratios: Dict[str, Fraction],
-                 mode: str, epsilon: Optional[Fraction], success: bool):
+                 mode: str, epsilon: Fraction):
         self.gset = gset
         self.subset = list(subset)
         self.ratios = ratios
         self.worst = max(ratios.values()) if ratios else Fraction(0)
         self.mode = mode
         self.epsilon = epsilon
-        self.success = success
+        self.success = self.worst < epsilon
 
     def to_json(self) -> str:
         show = self.gset.show_key
         payload = {
             "gset": self.gset.spec,
             "mode": self.mode,
-            "epsilon": None if self.epsilon is None else str(self.epsilon),
+            "epsilon": str(self.epsilon),
             "success": self.success,
             "size": len(self.subset),
             "subset": sorted(show(v) for v in self.subset),
@@ -146,7 +147,7 @@ def folner_search(graph: SchreierGraph, epsilon: Fraction,
               for letter, escaped in zip(graph.letters,
                                          _escapes(columns, best))}
     return FolnerReport(graph.gset, [graph.keys[v] for v in best], ratios,
-                        mode, epsilon, max(ratios.values()) < epsilon)
+                        mode, epsilon)
 
 
 def _interior_ids(graph: SchreierGraph) -> List[int]:

@@ -12,8 +12,6 @@ Conventions for the free group F2 = <x1, x2>:
 Balls of F2 are the keys of ``build_ball(make_gset("free:2"), r)``, whose
 (gen, sign) letters are those of F2 = <x1, x2>: one BFS gives B(r) and, by
 depth, B(r - 1), and the ball obeys the memory cap like every other ball.
-Only the keys are kept, so the neighbour table is freed before the pieces
-are built.
 """
 
 from __future__ import annotations
@@ -82,7 +80,8 @@ def translated_cell(word: Word) -> str:
 
 
 def _f2_ball(radius: int) -> Tuple[List[Word], List[Word]]:
-    """B(radius) of F2 in BFS order, and B(radius - 1) from its depths."""
+    """B(radius) of F2 in BFS order, and B(radius - 1) from its depths;
+    the neighbour table is freed before the caller builds the pieces."""
     graph = build_ball(make_gset("free:2"), radius)
     return graph.keys, graph.interior()
 

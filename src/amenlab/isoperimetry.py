@@ -15,9 +15,9 @@ the same number.  ``folner_ratios`` and ``worst_ratio`` take arbitrary keys
 and act on them; they are the oracle of the id-based kernels.
 
 All ratios are exact rationals.  ``fol_exact`` enumerates every interior
-subset up to the size cap; on a truncated ball its value is exact for the full
-G-set only when an interior witness exists (the enumeration reports exactly
-what it searched).
+subset of the given ball up to the size cap, so its value is the least size
+among those subsets: an upper bound on Fol(n) of the whole G-set, which a
+larger ball can only lower.
 """
 
 from __future__ import annotations
@@ -223,8 +223,11 @@ def fol_exact(graph: SchreierGraph, n: int,
               size_cap: int = 12) -> Optional[int]:
     """Least interior #F with #(F delta F s) < #F / n for every letter s.
 
-    Strict inequality, per the definition of the Folner function.  Returns
-    None when no interior subset within the size cap qualifies.
+    Strict inequality, per the definition of the Folner function.  The
+    scope is the interior of ``graph``: the value is the least size among
+    its interior subsets, an upper bound on Fol(n) of the whole G-set (a
+    smaller witness may need a larger ball).  Returns None when no interior
+    subset within the size cap qualifies.
     """
     if n < 1:
         raise ValidationError("Folner function argument must be >= 1")
@@ -261,7 +264,13 @@ def _combo_guard(pool: int, top: int):
 
 def csc_check(spec: str, n: int, radius: Optional[int] = None,
               size_cap: int = 12) -> dict:
-    """Check Fol(n) >= v(n)/2 on the given group family."""
+    """Check Fol(n) >= v(n)/2 on the given group family.
+
+    ``fol`` is ``fol_exact`` on the ball of the given radius (n + 2 by
+    default): an upper bound on Fol(n), so ``holds`` is certified only for
+    the interior subsets of that ball.  v(n) is counted in the same ball
+    when its radius reaches n.
+    """
     if radius is None:
         radius = n + 2
     gset = make_gset(spec)
@@ -271,8 +280,11 @@ def csc_check(spec: str, n: int, radius: Optional[int] = None,
         raise CapExceeded(
             f"no Folner-function witness for n={n} within size cap {size_cap}"
         )
-    series = growth_series(spec, n)
-    bound = Fraction(series[n], 2)
+    if radius >= n:
+        volume = sum(1 for depth in graph.depths.values() if depth <= n)
+    else:
+        volume = growth_series(spec, n)[n]
+    bound = Fraction(volume, 2)
     return {
         "group": spec,
         "n": n,

@@ -295,29 +295,32 @@ def _selfsim_family(family: str):
     return names, (family == selfsim.GRIGORCHUK,) * len(names), elements
 
 
-# Level of the tree whose action keys the self-similar Cayley canonicalizers.
-_SIGNATURE_DEPTHS = {selfsim.GRIGORCHUK: 8, selfsim.BASILICA: 12}
+# Level of the tree whose action buckets the self-similar Cayley
+# canonicalizers: deep enough to keep the buckets short (they are scanned
+# linearly), shallow enough to store 256 bytes per element.
+_SIGNATURE_DEPTH = 8
 
 
 class _SelfsimCanonicalizer:
-    """Dedup of tree automorphisms by their action on one level of the tree.
+    """Dedup of tree automorphisms, bucketed by their action on one level of
+    the tree and decided by the exact equality oracle.
 
-    Each canonical element's level permutation is stored once, as bytes, and
-    those bytes are its table key.  Acting by a letter s on a known element g
-    is one gather, perm(g s) = perm_s[perm(g)]; an element the canonicalizer
-    did not return falls back to ``selfsim.level_permutation``.  For the
-    a,b,c,d group every match is verified by the exact equality oracle; a
-    mismatch would mean the depth is too small and raises instead of
-    returning a wrong key.
+    A level permutation, as bytes, names a bucket: the canonical elements
+    with that action, in insertion order.  An element is the first member
+    of its bucket that ``selfsim.equals_selfsim`` finds equal to it, or
+    joins the bucket as a new canonical element; so the level only has to
+    be deep enough to keep buckets small, and no merge is unverified.
+    Acting by a letter s on a known element g is one gather,
+    perm(g s) = perm_s[perm(g)]; an element the canonicalizer did not return
+    falls back to ``selfsim.level_permutation``.
     """
 
-    def __init__(self, family: str, depth: int, elements: Dict):
-        self.family = family
+    def __init__(self, depth: int, elements: Dict):
         self.depth = depth
         self.elements = elements
         self.perms = {letter: selfsim.level_permutation(g, depth)
                       for letter, g in elements.items()}
-        self.table: Dict[bytes, selfsim.TreeAutomorphism] = {}
+        self.table: Dict[bytes, List[selfsim.TreeAutomorphism]] = {}
         self.sigs: Dict[selfsim.TreeAutomorphism, bytes] = {}
 
     def canon(self, g: selfsim.TreeAutomorphism) -> selfsim.TreeAutomorphism:
@@ -333,24 +336,18 @@ class _SelfsimCanonicalizer:
 
     def _lookup(self, g, perm) -> selfsim.TreeAutomorphism:
         sig = perm.tobytes()
-        known = self.table.get(sig)
-        if known is None:
-            self.table[sig] = g
-            self.sigs[g] = sig
-            return g
-        if self.family == selfsim.GRIGORCHUK:
-            if not selfsim.equals_selfsim(g, known):
-                raise CapExceeded(
-                    f"signature depth {self.depth} is too small to "
-                    "separate distinct elements"
-                )
-        return known
+        bucket = self.table.setdefault(sig, [])
+        for known in bucket:
+            if selfsim.equals_selfsim(g, known):
+                return known
+        bucket.append(g)
+        self.sigs[g] = sig
+        return g
 
 
 def _make_selfsim_cayley(spec: str, family: str) -> MarkedGSet:
     names, involutions, elements = _selfsim_family(family)
-    canonicalizer = _SelfsimCanonicalizer(
-        family, _SIGNATURE_DEPTHS[family], elements)
+    canonicalizer = _SelfsimCanonicalizer(_SIGNATURE_DEPTH, elements)
     # the first generator times its inverse: the identity
     identity = canonicalizer.canon(elements[(0, 1)] * elements[(0, -1)])
     return MarkedGSet(

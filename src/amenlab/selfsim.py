@@ -20,12 +20,11 @@ family and depth from the wreath recursion, read-only and on first use; a
 word's array folds them along the word, and since the action is on the right,
 p_{g h} = p_h[p_g].  ``signature`` formats the same array as image words.
 
-Equality in the a,b,c,d group is exact by recursive descent (the sections of a
-reduced word of letter length n have length at most (n+1)/2, so the recursion
-terminates); basilica equality is certified only to a finite depth (the
-level-16 permutation) and its verdict carries an ``approximate`` flag.  The
-identity memo of the exact descent is a bounded cache: when full it starts
-over.
+Equality is exact in both families, by one search over the sections of a word
+(``is_identity``): w = 1 exactly when no section reachable from w swaps the
+root.  Every entry of both recursion tables gives each section at most one
+letter, so no section of w is longer than w and the search visits finitely
+many words.  Its identity memo is a bounded cache: when full it starts over.
 """
 
 from __future__ import annotations
@@ -54,10 +53,10 @@ _FUSE = {
 
 # Wreath recursion for the a,b,c,d group: letter -> (section0, section1, swap).
 _GRIG_TABLE = {
-    "a": ("", "", True),
-    "b": ("a", "c", False),
-    "c": ("a", "d", False),
-    "d": ("", "b", False),
+    "a": ((), (), True),
+    "b": (("a",), ("c",), False),
+    "c": (("a",), ("d",), False),
+    "d": ((), ("b",), False),
 }
 
 
@@ -102,9 +101,7 @@ class TreeAutomorphism:
     def __mul__(self, other: "TreeAutomorphism") -> "TreeAutomorphism":
         if self.family != other.family:
             raise ValidationError("cannot multiply across families")
-        if self.family == GRIGORCHUK:
-            return TreeAutomorphism(GRIGORCHUK, self.word + other.word)
-        return TreeAutomorphism(BASILICA, self.word + other.word)
+        return TreeAutomorphism(self.family, self.word + other.word)
 
     def inverse(self) -> "TreeAutomorphism":
         if self.family == GRIGORCHUK:
@@ -188,47 +185,31 @@ _BASILICA_TABLE = {
     ("b", -1): ((), (("a", -1),), False),
 }
 
+# family -> {letter: (section0, section1, swap)}; no section has more than
+# one letter, which bounds every section of a word by the word's length.
+_TABLES = {GRIGORCHUK: _GRIG_TABLE, BASILICA: _BASILICA_TABLE}
+
 
 def wreath_decompose(g: TreeAutomorphism) -> WreathDecomposition:
-    if g._decomp is not None:
-        return g._decomp
-    if g.family == GRIGORCHUK:
-        s0, s1 = [], []
-        swap = False
-        for ch in g.word:
-            h0, h1, hswap = _GRIG_TABLE[ch]
-            if swap:
-                h0, h1 = h1, h0
-            s0.append(h0)
-            s1.append(h1)
-            swap ^= hswap
-        decomp = WreathDecomposition(
-            (
-                TreeAutomorphism(GRIGORCHUK, "".join(s0)),
-                TreeAutomorphism(GRIGORCHUK, "".join(s1)),
-            ),
-            swap,
-        )
-    else:
+    if g._decomp is None:
         s0: list = []
         s1: list = []
         swap = False
+        table = _TABLES[g.family]
         for letter in g.word:
-            h0, h1, hswap = _BASILICA_TABLE[letter]
+            h0, h1, hswap = table[letter]
             if swap:
                 h0, h1 = h1, h0
             s0.extend(h0)
             s1.extend(h1)
             swap ^= hswap
-        decomp = WreathDecomposition(
-            (
-                TreeAutomorphism(BASILICA, tuple(s0)),
-                TreeAutomorphism(BASILICA, tuple(s1)),
-            ),
+        join = "".join if g.family == GRIGORCHUK else tuple
+        g._decomp = WreathDecomposition(
+            (TreeAutomorphism(g.family, join(s0)),
+             TreeAutomorphism(g.family, join(s1))),
             swap,
         )
-    g._decomp = decomp
-    return decomp
+    return g._decomp
 
 
 def act_on_word(g: TreeAutomorphism, x: str) -> str:
@@ -249,8 +230,6 @@ def act_on_word(g: TreeAutomorphism, x: str) -> str:
 
 
 # -- level permutations ----------------------------------------------------
-
-_TABLES = {GRIGORCHUK: _GRIG_TABLE, BASILICA: _BASILICA_TABLE}
 
 # (family, depth) -> {letter: read-only index array of its action on level
 # depth}; filled on first use, one depth at a time.
@@ -316,16 +295,11 @@ def signature(g: TreeAutomorphism, depth: int) -> Tuple[str, ...]:
     return tuple(format(i, f"0{depth}b") for i in perm.tolist())
 
 
-def _fixes_level(g: TreeAutomorphism, depth: int) -> bool:
-    perm = level_permutation(g, depth)
-    return bool(np.array_equal(perm, np.arange(len(perm))))
-
-
-# -- exact equality for the a,b,c,d group -------------------------------
+# -- exact equality ----------------------------------------------------------
 
 class _IdentityMemo:
     def __init__(self):
-        self.table: Dict[str, bool] = {}
+        self.table: Dict[object, bool] = {}
         self.lock = threading.Lock()
 
     def get(self, key):
@@ -342,28 +316,41 @@ class _IdentityMemo:
 _identity_memo = _IdentityMemo()
 
 
-def _grig_is_identity(word: str) -> bool:
-    if not word:
+def _is_trivial(g: TreeAutomorphism) -> bool:
+    """Whether g = 1: a depth-first search over the sections reachable from
+    g, by reduced word, that fails at the first one swapping the root.
+
+    Each letter's sections have at most one letter (``_TABLES``), so no
+    section of g is longer than g: the visited words are finitely many and
+    the search ends.  If none swaps the root, every vertex of the tree is
+    fixed.  A success marks every visited word trivial in the memo; a
+    failure marks only g, since a visited word may still be trivial.
+    """
+    if not g.word:
         return True
-    if len(word) == 1:
-        return False
-    cached = _identity_memo.get(word)
-    if cached is not None:
-        return cached
-    decomp = wreath_decompose(TreeAutomorphism(GRIGORCHUK, word))
-    if decomp.swap:
-        result = False
-    else:
-        result = (
-            _grig_is_identity(decomp.sections[0].word)
-            and _grig_is_identity(decomp.sections[1].word)
-        )
-    _identity_memo.put(word, result)
-    return result
+    seen = {g.word}
+    stack = [g]
+    while stack:
+        h = stack.pop()
+        known = _identity_memo.get(h.word)
+        if known:
+            continue
+        # a one-letter word is a generator, and no generator is trivial
+        if known is False or len(h.word) == 1 or wreath_decompose(h).swap:
+            _identity_memo.put(g.word, False)
+            return False
+        for section in wreath_decompose(h).sections:
+            if section.word and section.word not in seen:
+                seen.add(section.word)
+                stack.append(section)
+    for word in seen:
+        _identity_memo.put(word, True)
+    return True
 
 
 class EqualityVerdict:
-    """Equality answer; ``approximate`` marks depth-bounded certification."""
+    """Equality answer.  Every verdict is exact, so ``approximate`` is False
+    and ``depth`` None; both fields stay for the callers that read them."""
 
     __slots__ = ("equal", "approximate", "depth")
 
@@ -380,20 +367,15 @@ class EqualityVerdict:
         return f"EqualityVerdict({self.equal}, {tag})"
 
 
-def equals_selfsim(g: TreeAutomorphism, h: TreeAutomorphism,
-                   depth: int = 16) -> EqualityVerdict:
+def equals_selfsim(g: TreeAutomorphism,
+                   h: TreeAutomorphism) -> EqualityVerdict:
     if g.family != h.family:
         raise ValidationError("cannot compare across families")
-    product = g * h.inverse()
-    if g.family == GRIGORCHUK:
-        return EqualityVerdict(_grig_is_identity(product.word), False, None)
-    return EqualityVerdict(_fixes_level(product, depth), True, depth)
+    return EqualityVerdict(_is_trivial(g * h.inverse()), False, None)
 
 
-def is_identity(g: TreeAutomorphism, depth: int = 16) -> EqualityVerdict:
-    if g.family == GRIGORCHUK:
-        return EqualityVerdict(_grig_is_identity(g.word), False, None)
-    return EqualityVerdict(_fixes_level(g, depth), True, depth)
+def is_identity(g: TreeAutomorphism) -> EqualityVerdict:
+    return EqualityVerdict(_is_trivial(g), False, None)
 
 
 # -- eta norm ------------------------------------------------------------
@@ -446,14 +428,13 @@ def sigma_apply(g: TreeAutomorphism) -> TreeAutomorphism:
 
 # -- element order ---------------------------------------------------------
 
-def element_order(g: TreeAutomorphism, max_order: int,
-                  depth: int = 16) -> Optional[int]:
+def element_order(g: TreeAutomorphism, max_order: int) -> Optional[int]:
     """Least k <= max_order with g^k = 1, or None if no such k is found."""
     if max_order < 1:
         raise ValidationError("max_order must be >= 1")
     running = g
     for k in range(1, max_order + 1):
-        if is_identity(running, depth=depth):
+        if is_identity(running):
             return k
         running = running * g
     return None
@@ -463,12 +444,9 @@ def element_order(g: TreeAutomorphism, max_order: int,
 
 def portrait(g: TreeAutomorphism, depth: int) -> dict:
     """JSON-ready portrait: root permutation plus children to ``depth``."""
-    node = {"rootPerm": wreath_decompose(g).root_perm if g.word else "id"}
+    decomp = wreath_decompose(g)
+    node = {"rootPerm": decomp.root_perm}
     if depth > 0:
-        decomp = wreath_decompose(g)
-        node["rootPerm"] = decomp.root_perm
-        node["children"] = [
-            portrait(decomp.sections[0], depth - 1),
-            portrait(decomp.sections[1], depth - 1),
-        ]
+        node["children"] = [portrait(section, depth - 1)
+                            for section in decomp.sections]
     return node

@@ -4,6 +4,7 @@ searches, certified bounds, and runtime budgets for the expensive ones."""
 import json
 import math
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -194,7 +195,16 @@ class TestGrigorchukGroup:
 
     def test_basilica_growth_matches_the_frozen_golden_file(self):
         golden = json.loads((DATA / "basilica_growth.json").read_text())
-        assert list(growth_series("basilica", 4)) == golden["ballSizes"]
+        assert list(growth_series("basilica", 8)) == golden["ballSizes"]
+
+    def test_basilica_ball_eight_fits_in_64_mb(self):
+        tracemalloc.start()
+        try:
+            growth_series("basilica", 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
 
 class TestCogrowth:
@@ -379,10 +389,11 @@ class TestScaleLimitsAreExplicit:
     the toolkit reports flags, caps, or certified small-scale facts instead,
     and the README spells the boundary out."""
 
-    def test_depth_certified_equality_is_flagged(self):
+    def test_basilica_equality_is_exact(self):
         from amenlab.selfsim import basilica
         verdict = equals_selfsim(basilica("a"), basilica("a"))
-        assert verdict.approximate and verdict.depth is not None
+        assert verdict.equal
+        assert not verdict.approximate and verdict.depth is None
 
     def test_exact_equality_is_not_flagged(self):
         verdict = equals_selfsim(grigorchuk("ab"), grigorchuk("ab"))

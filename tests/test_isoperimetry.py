@@ -130,6 +130,38 @@ class TestVolumeBound:
         assert result["fol"] == 7
         assert result["holds"]
 
+    def test_one_ball_serves_both_sides(self, monkeypatch):
+        radii = []
+
+        def counted(gset, radius, *args, **kwargs):
+            radii.append(radius)
+            return build_ball(gset, radius, *args, **kwargs)
+
+        monkeypatch.setattr(isoperimetry, "build_ball", counted)
+        result = csc_check("z:2", 1)
+        assert radii == [3]
+        assert (result["fol"], result["bound"]) == (7, Fraction(5, 2))
+        radii.clear()
+        # a radius below n needs its own ball for v(n)
+        assert csc_check("zmod:5", 4, radius=3)["bound"] == Fraction(5, 2)
+        assert radii == [3, 4]
+
+
+class TestFolExactScope:
+    """``fol_exact`` reads the interior of the ball it is given; on these
+    balls a larger one finds no smaller witness."""
+
+    @pytest.mark.parametrize("n, fol", [(1, 3), (2, 5), (3, 7)])
+    def test_z_agrees_at_radii_r_and_r_plus_two(self, n, fol):
+        for radius in (n + 2, n + 4):
+            graph = build_ball(make_gset("cayley:z:1"), radius)
+            assert fol_exact(graph, n) == fol
+
+    def test_lamplighter_agrees_at_radii_three_and_four(self):
+        for radius in (3, 4):
+            graph = build_ball(make_gset("cayley:lamplighter"), radius)
+            assert fol_exact(graph, 1) == 7
+
 
 # -- the id-based kernels against the key-based recipes they replace --------
 

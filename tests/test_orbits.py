@@ -3,6 +3,7 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -71,14 +72,17 @@ def test_build_ball_acts_once_per_vertex_and_letter(monkeypatch, spec,
 
 class TestSelfsimCanonicalizer:
     @pytest.mark.parametrize("depth", [1, 2])
-    def test_shallow_signatures_fail_the_exact_check(self, monkeypatch,
-                                                     depth):
+    def test_shallow_signatures_give_the_same_ball(self, monkeypatch,
+                                                   depth):
         # level 2 carries only the dihedral group of order 8, so distinct
-        # elements of the radius-3 ball share signatures; the exact oracle
-        # must refuse the merge
-        monkeypatch.setitem(orbits._SIGNATURE_DEPTHS, "grigorchuk", depth)
-        with pytest.raises(CapExceeded):
-            build_ball(make_gset("cayley:grigorchuk"), 3)
+        # elements share buckets; the exact oracle must keep them apart
+        expected = {spec: build_ball(make_gset(spec), 4)
+                    for spec in ("cayley:grigorchuk", "cayley:basilica")}
+        monkeypatch.setattr(orbits, "_SIGNATURE_DEPTH", depth)
+        for spec, want in expected.items():
+            graph = build_ball(make_gset(spec), 4)
+            assert graph.keys == want.keys
+            assert np.array_equal(graph.table, want.table)
 
     def test_foreign_keys_fall_back_to_level_permutation(self):
         gset = make_gset("cayley:grigorchuk")

@@ -147,9 +147,12 @@ class TestBasilica:
         assert (db.sections[0].show(), db.sections[1].show(),
                 db.root_perm) == ("1", "a", "id")
 
-    def test_equality_is_depth_certified(self):
+    def test_equality_is_exact(self):
         verdict = equals_selfsim(basilica("a b"), basilica("a b"))
-        assert verdict.equal and verdict.approximate and verdict.depth == 16
+        assert verdict.equal and not verdict.approximate
+        assert verdict.depth is None
+        verdict = equals_selfsim(basilica("a b"), basilica("b a"))
+        assert not verdict.equal and not verdict.approximate
 
     def test_torsion_free_sample(self):
         assert element_order(basilica("a"), 20) is None
@@ -257,3 +260,53 @@ def test_identity_memo_evicts_instead_of_raising(monkeypatch):
     bounded = [is_identity(g).equal for g in words]
     assert bounded == unbounded
     assert len(selfsim._identity_memo.table) <= 7
+
+
+# -- the section-graph oracle against the level-16 action --------------------
+
+def test_every_section_has_at_most_one_letter():
+    """The termination bound of the oracle: no section of a word is longer
+    than the word."""
+    for table in selfsim._TABLES.values():
+        for s0, s1, _ in table.values():
+            assert len(s0) <= 1 and len(s1) <= 1
+
+
+def _with_sigma_images(words):
+    out = []
+    for word in words:
+        g = grigorchuk(word)
+        out += [g, sigma_apply(g), sigma_apply(sigma_apply(g))]
+    return out
+
+
+_RELATORS = {
+    "grigorchuk": _with_sigma_images(["bcd", "adadadad"]),
+    # [b, a b a^-1]: b commutes with its conjugate by a
+    "basilica": [basilica("b a b a^-1 b^-1 a b^-1 a^-1")],
+}
+
+
+def _conjugated(words, family):
+    """A word, or the conjugate of a relator by that word (trivial)."""
+    return st.one_of(words, st.tuples(words, st.sampled_from(
+        _RELATORS[family])).map(lambda p: p[0] * p[1] * p[0].inverse()))
+
+
+_ORACLE_WORDS = st.one_of(_conjugated(_GRIG_WORDS, "grigorchuk"),
+                          _conjugated(_BASILICA_WORDS, "basilica"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ORACLE_WORDS)
+def test_is_identity_agrees_with_the_level_16_action(g):
+    verdict = is_identity(g)
+    perm = level_permutation(g, 16)
+    assert verdict.equal == bool(np.array_equal(perm, np.arange(len(perm))))
+    assert not verdict.approximate and verdict.depth is None
+
+
+def test_relators_are_trivial():
+    for family, relators in _RELATORS.items():
+        for r in relators:
+            assert is_identity(r).equal, (family, r)

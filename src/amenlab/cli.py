@@ -4,6 +4,9 @@ Every subcommand emits a deterministic, machine-readable artifact: exact
 rationals are serialized as "p/q" text, floats with 17 significant digits,
 and JSON objects with sorted keys.  Exit codes: 0 success, 2 validation
 error, 3 cap exceeded.
+
+Each handler imports the analysis module it runs when it runs, so a command
+loads only what it needs: ``ca`` and ``topfull`` never load numpy.
 """
 
 from __future__ import annotations
@@ -12,11 +15,12 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import cellauto, cogrowth, isoperimetry, paradox, randwalk, topfull
 from .errors import CapExceeded, ValidationError
-from .orbits import build_ball, make_gset
+
+if TYPE_CHECKING:
+    from . import cellauto
 
 
 def _fmt_rational(value: Fraction) -> str:
@@ -53,12 +57,14 @@ def _resolve_gset(args):
     spec = getattr(args, "gset", None) or getattr(args, "group", None)
     if spec is None:
         raise ValidationError("a --group or --gset spec is required")
-    return make_gset(spec)
+    from . import orbits
+    return orbits.make_gset(spec)
 
 
 # -- subcommand handlers ---------------------------------------------------------
 
 def _cmd_growth(args) -> str:
+    from . import isoperimetry
     series = isoperimetry.growth_series(args.group, args.radius)
     if args.format == "csv":
         return series.to_csv()
@@ -66,8 +72,9 @@ def _cmd_growth(args) -> str:
 
 
 def _cmd_folner(args) -> str:
+    from . import isoperimetry, orbits
     gset = _resolve_gset(args)
-    graph = build_ball(gset, args.radius)
+    graph = orbits.build_ball(gset, args.radius)
     if args.fol is not None:
         value = isoperimetry.fol_exact(graph, args.fol,
                                        size_cap=args.cap_subset_size)
@@ -83,6 +90,7 @@ def _cmd_folner(args) -> str:
 
 
 def _cmd_walk(args) -> str:
+    from . import randwalk
     gset = _resolve_gset(args)
     mu = randwalk.srw_measure(gset)
     if args.action == "return":
@@ -116,6 +124,7 @@ def _cmd_walk(args) -> str:
 
 
 def _cmd_cogrowth(args) -> str:
+    from . import cogrowth
     if args.action == "counts":
         counts = cogrowth.reduced_closed_counts(args.group, args.length)
         if args.format == "csv":
@@ -137,18 +146,20 @@ def _cmd_cogrowth(args) -> str:
     raise ValidationError(f"unknown cogrowth action {args.action!r}")
 
 
+# rule name -> its construction from the cellauto module, run on load
 _RULES = {
-    "life": cellauto.life_rule,
-    "and:z": cellauto.and_rule_z,
-    "xor:z": cellauto.xor_rule_z,
-    "muller": lambda: cellauto.linca_rule(cellauto.muller_matrix()),
+    "life": lambda cellauto: cellauto.life_rule(),
+    "and:z": lambda cellauto: cellauto.and_rule_z(),
+    "xor:z": lambda cellauto: cellauto.xor_rule_z(),
+    "muller": lambda cellauto: cellauto.linca_rule(cellauto.muller_matrix()),
 }
 
 
 def _load_rule(name: str) -> cellauto.LocalRule:
     if name not in _RULES:
         raise ValidationError(f"unknown rule {name!r}; known: {sorted(_RULES)}")
-    return _RULES[name]()
+    from . import cellauto
+    return _RULES[name](cellauto)
 
 
 def _load_pattern(rule: cellauto.LocalRule,
@@ -170,10 +181,12 @@ def _load_pattern(rule: cellauto.LocalRule,
             f"pattern {path!r} must be JSON of the form "
             '{"cells": [{"site": ..., "value": ...}, ...]}'
         )
+    from . import cellauto
     return cellauto.CellPattern(rule.space, values)
 
 
 def _cmd_ca(args) -> str:
+    from . import cellauto
     rule = _load_rule(args.rule)
     if args.action == "step":
         pattern = _load_pattern(rule, args.pattern)
@@ -205,6 +218,7 @@ def _cmd_ca(args) -> str:
 
 
 def _cmd_paradox(args) -> str:
+    from . import paradox
     if args.action == "verify":
         return paradox.report_json(paradox.paradox_verify(args.radius))
     if args.action == "map":
@@ -221,6 +235,7 @@ def _cmd_paradox(args) -> str:
 
 
 def _cmd_topfull(args) -> str:
+    from . import topfull
     if args.action == "language":
         language = topfull.fib_language(args.length)
         return _json({
@@ -244,8 +259,10 @@ def _cmd_topfull(args) -> str:
 
 
 def _cmd_graph(args) -> str:
+    from . import orbits
     gset = _resolve_gset(args)
-    graph = build_ball(gset, args.radius, cap_vertices=args.cap_vertices)
+    graph = orbits.build_ball(gset, args.radius,
+                              cap_vertices=args.cap_vertices)
     return graph.to_json()
 
 

@@ -136,7 +136,7 @@ def folner_search(graph: SchreierGraph, epsilon: Fraction,
             raise ValidationError("subset size cap must be >= 1")
         best = _exhaustive_search(columns, pool, epsilon, size_cap)
     elif mode == "greedy":
-        best = _greedy_search(columns, pool, epsilon)
+        best = _greedy_search(columns, graph.letters, pool, epsilon)
     elif mode == "anneal":
         if seed is None:
             raise ValidationError("anneal mode requires a seed")
@@ -180,18 +180,40 @@ def _exhaustive_search(columns, pool, epsilon, size_cap):
     return best
 
 
-def _greedy_search(columns, pool, epsilon):
+def _greedy_search(columns, letters, pool, epsilon):
+    """Grow from the base point by the interior neighbour whose addition
+    gives the least worst ratio, ties broken on the shown key.
+
+    The escape counts are kept per letter.  Adding v to F changes a letter's
+    count by two terms: v's own image escapes unless it is v or a member,
+    and v's one preimage, read in the column of the letter's inverse (an
+    involution's own), stops escaping if it is a member.  Every candidate's
+    ratio has the denominator #F + 1, so the integer maxima decide.
+    """
     rank = {v: i for i, v in enumerate(pool)}  # ties break on the shown key
+    column_of = {letter: c for c, letter in enumerate(letters)}
+    preimages = [columns[column_of.get((gen, -sign), c)]
+                 for c, (gen, sign) in enumerate(letters)]
     current = {0}  # the base point
-    best, best_worst = frozenset(current), _worst(columns, current)
-    while best_worst >= epsilon:
-        candidates = {column[u] for u in current for column in columns}
-        candidates = [v for v in candidates - current if v in rank]
-        if not candidates:
-            break
-        worst, _rank, v = min((_worst(columns, current | {v}), rank[v], v)
-                              for v in candidates)
+    escapes = _escapes(columns, current)
+    best, best_worst = frozenset(current), Fraction(max(escapes))
+    frontier = {column[0] for column in columns if column[0] in rank} - current
+
+    def change(v):
+        return [(image[v] != v and image[v] not in current)
+                - (preimage[v] in current)
+                for image, preimage in zip(columns, preimages)]
+
+    while best_worst >= epsilon and frontier:
+        top, _rank, v = min(
+            (max(e + d for e, d in zip(escapes, change(v))), rank[v], v)
+            for v in frontier)
+        escapes = [e + d for e, d in zip(escapes, change(v))]
         current.add(v)
+        frontier.discard(v)
+        frontier.update(column[v] for column in columns
+                        if column[v] in rank and column[v] not in current)
+        worst = Fraction(top, len(current))
         if worst < best_worst:
             best, best_worst = frozenset(current), worst
     return best

@@ -340,30 +340,33 @@ class TestParadoxicalDecomposition:
                 self.sweep(nv, nw)
 
     @staticmethod
-    def sweep(nv, nw):
+    def sweep(nv, nw, block=1 << 20):
+        """Graph ``code`` has row i = bits i*nw .. i*nw + nw - 1 of code.
+        The codes go in blocks, so the oracle's arrays stay small."""
         total = 1 << (nv * nw)
-        codes = np.arange(total, dtype=np.int64)
         row_mask = (1 << nw) - 1
-        rows = [(codes >> (i * nw)) & row_mask for i in range(nv)]
-        ok = np.ones(total, dtype=bool)
-        for s in range(1, 1 << nv):
-            union = np.zeros(total, dtype=np.int64)
-            for i in range(nv):
-                if s >> i & 1:
-                    union |= rows[i]
-            popcount = np.zeros(total, dtype=np.int64)
-            for _ in range(nw):
-                popcount += union & 1
-                union >>= 1
-            ok &= popcount >= bin(s).count("1")
-        verdicts = ok.tolist()
         row_lists = [tuple(j for j in range(nw) if r >> j & 1)
                      for r in range(1 << nw)]
-        for code in range(total):
-            graph = {i: row_lists[(code >> (i * nw)) & row_mask]
-                     for i in range(nv)}
-            assert hall_matching(graph).matched == verdicts[code], \
-                (nv, nw, code)
+        for start in range(0, total, block):
+            stop = min(start + block, total)
+            codes = np.arange(start, stop, dtype=np.int64)
+            rows = [(codes >> (i * nw)) & row_mask for i in range(nv)]
+            ok = np.ones(len(codes), dtype=bool)
+            for s in range(1, 1 << nv):
+                union = np.zeros(len(codes), dtype=np.int64)
+                for i in range(nv):
+                    if s >> i & 1:
+                        union |= rows[i]
+                popcount = np.zeros(len(codes), dtype=np.int64)
+                for _ in range(nw):
+                    popcount += union & 1
+                    union >>= 1
+                ok &= popcount >= bin(s).count("1")
+            for code, verdict in zip(range(start, stop), ok.tolist()):
+                graph = {i: row_lists[(code >> (i * nw)) & row_mask]
+                         for i in range(nv)}
+                assert hall_matching(graph).matched == verdict, \
+                    (nv, nw, code)
 
 
 class TestCosetAction:

@@ -3,14 +3,19 @@
 import contextlib
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import amenlab
 from amenlab.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -83,6 +88,16 @@ GOLDEN_COMMANDS = [
     "folner --group z:2 --radius 3 --fol 1",
     "folner --group lamplighter --radius 3 --fol 1",
     "paradox verify --radius 5",
+    # argparse wraps help to $COLUMNS; _golden_stdout fixes it at 80
+    "--help",
+    "growth --help",
+    "folner --help",
+    "walk --help",
+    "cogrowth --help",
+    "ca --help",
+    "paradox --help",
+    "topfull --help",
+    "graph --help",
 ]
 
 
@@ -92,8 +107,12 @@ def _argv(command):
 
 def _golden_stdout(command):
     buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
-        code = main(_argv(command))
+    with contextlib.redirect_stdout(buffer), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        try:
+            code = main(_argv(command))
+        except SystemExit as error:  # --help prints, then exits
+            code = error.code
     assert code == 0, command
     return buffer.getvalue()
 
@@ -361,6 +380,55 @@ def test_coset_spec_means_the_schreier_graph_in_growth(capsys):
                           "--radius", "4", "--format", "json")
     assert code == 0
     assert json.loads(out)["values"] == [1, 3, 7, 17, 45]
+
+
+# -- start-up cost: a command loads only the modules it runs ----------------
+
+ANALYSIS_MODULES = {f"amenlab.{name}" for name in (
+    "cellauto", "cogrowth", "groups", "isoperimetry", "orbits", "paradox",
+    "randwalk", "selfsim", "topfull")}
+
+
+def _modules_after(argv=None):
+    """The modules a fresh interpreter holds after importing amenlab.cli
+    and, given ``argv``, running ``cli.main`` on it."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from amenlab import cli\n"
+        f"argv = {argv!r}\n"
+        "if argv is not None:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0\n"
+        "print(*sys.modules)\n")
+    src = str(Path(amenlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_importing_the_cli_loads_no_analysis_module():
+    loaded = _modules_after()
+    assert "amenlab.cli" in loaded
+    assert "numpy" not in loaded
+    assert not loaded & ANALYSIS_MODULES
+
+
+@pytest.mark.parametrize("command", [
+    "ca step --rule life --pattern {data}/blinker.json --steps 2",
+    "ca goe --rule and:z --radius 1",
+    "ca mep --rule life --radius 0",
+    "ca entropy --rule xor:z --radius 1",
+    "topfull language --length 3",
+    "topfull search --length 3",
+])
+def test_ca_and_topfull_run_without_numpy(command):
+    loaded = _modules_after(_argv(command))
+    module = {"ca": "amenlab.cellauto", "topfull": "amenlab.topfull"}
+    assert module[command.split()[0]] in loaded
+    assert "numpy" not in loaded
 
 
 _RANK_TEXT = st.one_of(st.integers(-1, 3).map(str),

@@ -1,6 +1,7 @@
 """Growth series, Folner search modes, the exact Folner function and the
 volume lower bound check."""
 
+import functools
 import itertools
 import math
 import random
@@ -277,6 +278,52 @@ def test_searches_match_the_key_recipes(spec, mode, epsilon, size_cap, seed):
         sorted(expected, key=graph.gset.show_key)
     assert report.ratios == folner_ratios(graph.gset, expected)
     assert report.success == (worst_ratio(graph.gset, expected) < epsilon)
+
+
+def _recount_greedy(columns, pool, epsilon):
+    """The greedy search as it was before its escape counts were kept: it
+    recounts the whole set for every candidate."""
+    rank = {v: i for i, v in enumerate(pool)}
+    current = {0}
+    best, best_worst = frozenset(current), isoperimetry._worst(columns,
+                                                               current)
+    while best_worst >= epsilon:
+        candidates = {column[u] for u in current for column in columns}
+        candidates = [v for v in candidates - current if v in rank]
+        if not candidates:
+            break
+        worst, _rank, v = min(
+            (isoperimetry._worst(columns, current | {v}), rank[v], v)
+            for v in candidates)
+        current.add(v)
+        if worst < best_worst:
+            best, best_worst = frozenset(current), worst
+    return best
+
+
+# loops (coset:f2, orbits), involutions (dihedral, grigorchuk) and balls whose
+# whole interior the greedy search can grow through
+GREEDY_BALLS = [("z:1", 8), ("z:2", 4), ("free:2", 4), ("coset:f2", 6),
+                ("lamplighter", 4), ("dihedral", 6), ("cayley:grigorchuk", 4),
+                ("orbit:grigorchuk:depth=4", 5),
+                ("orbit:basilica:depth=3", 4)]
+
+
+@functools.lru_cache(maxsize=None)
+def _greedy_ball(spec, radius):
+    return build_ball(make_gset(spec), radius)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ball=st.sampled_from(GREEDY_BALLS),
+       epsilon=st.fractions(0, 1, max_denominator=12))
+def test_incremental_greedy_matches_the_recount(ball, epsilon):
+    graph = _greedy_ball(*ball)
+    columns = graph.table.T.tolist()
+    pool = isoperimetry._interior_ids(graph)
+    assert isoperimetry._greedy_search(columns, graph.letters, pool,
+                                       epsilon) == \
+        _recount_greedy(columns, pool, epsilon)
 
 
 @pytest.mark.parametrize("spec", ["z:1", "z:2", "coset:f2", "lamplighter"])

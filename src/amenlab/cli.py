@@ -146,23 +146,19 @@ def _cmd_cogrowth(args) -> str:
     raise ValidationError(f"unknown cogrowth action {args.action!r}")
 
 
-# rule name -> its construction from the cellauto module, run on load
-_RULES = {
-    "life": lambda cellauto: cellauto.life_rule(),
-    "and:z": lambda cellauto: cellauto.and_rule_z(),
-    "xor:z": lambda cellauto: cellauto.xor_rule_z(),
-    "muller": lambda cellauto: cellauto.linca_rule(cellauto.muller_matrix()),
-}
+def _load_rule(cellauto, name: str) -> cellauto.LocalRule:
+    rules = {
+        "life": cellauto.life_rule,
+        "and:z": cellauto.and_rule_z,
+        "xor:z": cellauto.xor_rule_z,
+        "muller": lambda: cellauto.linca_rule(cellauto.muller_matrix()),
+    }
+    if name not in rules:
+        raise ValidationError(f"unknown rule {name!r}; known: {sorted(rules)}")
+    return rules[name]()
 
 
-def _load_rule(name: str) -> cellauto.LocalRule:
-    if name not in _RULES:
-        raise ValidationError(f"unknown rule {name!r}; known: {sorted(_RULES)}")
-    from . import cellauto
-    return _RULES[name](cellauto)
-
-
-def _load_pattern(rule: cellauto.LocalRule,
+def _load_pattern(cellauto, rule: cellauto.LocalRule,
                   path: Optional[str]) -> cellauto.CellPattern:
     if path is None:
         raise ValidationError("step needs --pattern")
@@ -181,15 +177,14 @@ def _load_pattern(rule: cellauto.LocalRule,
             f"pattern {path!r} must be JSON of the form "
             '{"cells": [{"site": ..., "value": ...}, ...]}'
         )
-    from . import cellauto
     return cellauto.CellPattern(rule.space, values)
 
 
 def _cmd_ca(args) -> str:
     from . import cellauto
-    rule = _load_rule(args.rule)
+    rule = _load_rule(cellauto, args.rule)
     if args.action == "step":
-        pattern = _load_pattern(rule, args.pattern)
+        pattern = _load_pattern(cellauto, rule, args.pattern)
         for _ in range(args.steps):
             pattern = cellauto.ca_step(rule, pattern.padded(rule))
         return pattern.to_json()

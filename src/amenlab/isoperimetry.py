@@ -136,7 +136,7 @@ def folner_search(graph: SchreierGraph, epsilon: Fraction,
             raise ValidationError("subset size cap must be >= 1")
         best = _exhaustive_search(columns, pool, epsilon, size_cap)
     elif mode == "greedy":
-        best = _greedy_search(columns, graph.letters, pool, epsilon)
+        best = _greedy_search(graph, columns, pool, epsilon)
     elif mode == "anneal":
         if seed is None:
             raise ValidationError("anneal mode requires a seed")
@@ -180,35 +180,33 @@ def _exhaustive_search(columns, pool, epsilon, size_cap):
     return best
 
 
-def _greedy_search(columns, letters, pool, epsilon):
+def _greedy_search(graph, columns, pool, epsilon):
     """Grow from the base point by the interior neighbour whose addition
     gives the least worst ratio, ties broken on the shown key.
 
     The escape counts are kept per letter.  Adding v to F changes a letter's
     count by two terms: v's own image escapes unless it is v or a member,
-    and v's one preimage, read in the column of the letter's inverse (an
-    involution's own), stops escaping if it is a member.  Every candidate's
-    ratio has the denominator #F + 1, so the integer maxima decide.
+    and v's one preimage, read in the column of the letter's inverse, stops
+    escaping if it is a member.  Every candidate's ratio has the denominator
+    #F + 1, so the integer maxima decide.
     """
     rank = {v: i for i, v in enumerate(pool)}  # ties break on the shown key
-    column_of = {letter: c for c, letter in enumerate(letters)}
-    preimages = [columns[column_of.get((gen, -sign), c)]
-                 for c, (gen, sign) in enumerate(letters)]
+    preimages = [columns[graph.column((gen, -sign))]
+                 for gen, sign in graph.letters]
     current = {0}  # the base point
     escapes = _escapes(columns, current)
     best, best_worst = frozenset(current), Fraction(max(escapes))
     frontier = {column[0] for column in columns if column[0] in rank} - current
 
-    def change(v):
-        return [(image[v] != v and image[v] not in current)
+    def escapes_with(v):  # the escape counts of current | {v}
+        return [e + (image[v] != v and image[v] not in current)
                 - (preimage[v] in current)
-                for image, preimage in zip(columns, preimages)]
+                for e, image, preimage in zip(escapes, columns, preimages)]
 
     while best_worst >= epsilon and frontier:
-        top, _rank, v = min(
-            (max(e + d for e, d in zip(escapes, change(v))), rank[v], v)
-            for v in frontier)
-        escapes = [e + d for e, d in zip(escapes, change(v))]
+        top, _rank, v = min((max(escapes_with(v)), rank[v], v)
+                            for v in frontier)
+        escapes = escapes_with(v)
         current.add(v)
         frontier.discard(v)
         frontier.update(column[v] for column in columns

@@ -126,15 +126,20 @@ class SchreierGraph:
         return [(self.letters[c], self.keys[j])
                 for c, j in enumerate(row) if j >= 0]
 
+    def column(self, letter: Letter) -> int:
+        """The table column of ``letter``; an involution has one column."""
+        gen, sign = letter
+        return self.letters.index((gen, 1 if self.gset.involutions[gen]
+                                   else sign))
+
     def word_edges(self, word: Word) -> Tuple[np.ndarray, np.ndarray]:
         """The ids i whose key acted on by ``word`` lies in the ball, and the
         ids of those targets.  A path that leaves the ball before the word
         ends is finished on keys, since it may come back."""
         targets = np.arange(len(self.keys))
         returned = {}
-        for pos, (gen, sign) in enumerate(word):
-            column = self.letters.index(
-                (gen, 1 if self.gset.involutions[gen] else sign))
+        for pos, letter in enumerate(word):
+            column = self.column(letter)
             step = np.where(targets >= 0, self.table[targets, column], -1)
             if pos + 1 < len(word):
                 for i in np.flatnonzero((targets >= 0) & (step < 0)):

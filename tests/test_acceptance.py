@@ -340,9 +340,10 @@ class TestParadoxicalDecomposition:
                 self.sweep(nv, nw)
 
     @staticmethod
-    def sweep(nv, nw, block=1 << 20):
+    def sweep(nv, nw):
         """Graph ``code`` has row i = bits i*nw .. i*nw + nw - 1 of code.
         The codes go in blocks, so the oracle's arrays stay small."""
+        block = 1 << 20
         total = 1 << (nv * nw)
         row_mask = (1 << nw) - 1
         row_lists = [tuple(j for j in range(nw) if r >> j & 1)

@@ -321,8 +321,7 @@ def test_incremental_greedy_matches_the_recount(ball, epsilon):
     graph = _greedy_ball(*ball)
     columns = graph.table.T.tolist()
     pool = isoperimetry._interior_ids(graph)
-    assert isoperimetry._greedy_search(columns, graph.letters, pool,
-                                       epsilon) == \
+    assert isoperimetry._greedy_search(graph, columns, pool, epsilon) == \
         _recount_greedy(columns, pool, epsilon)
 
 

@@ -6,7 +6,7 @@ and JSON objects with sorted keys.  Exit codes: 0 success, 2 validation
 error, 3 cap exceeded.
 
 Each handler imports the analysis module it runs when it runs, so a command
-loads only what it needs: ``ca`` and ``topfull`` never load numpy.
+loads only what it needs: only ``walk truncated`` loads numpy.
 """
 
 from __future__ import annotations
@@ -90,17 +90,17 @@ def _cmd_folner(args) -> str:
 
 
 def _cmd_walk(args) -> str:
-    from . import randwalk
+    from . import walks
     gset = _resolve_gset(args)
-    mu = randwalk.srw_measure(gset)
+    mu = walks.srw_measure(gset)
     if args.action == "return":
-        value = randwalk.return_probability(gset, mu, args.steps,
-                                            precision=args.precision)
+        value = walks.return_probability(gset, mu, args.steps,
+                                         precision=args.precision)
         if args.precision == "exact":
             return _fmt_rational(value)
         return _fmt_float(value)
     if args.action == "rho":
-        report = randwalk.rho_lower_bound(gset, mu, args.steps)
+        report = walks.rho_lower_bound(gset, mu, args.steps)
         return _json({
             "best": _fmt_float(report["best"]),
             "sequence": [[m, _fmt_float(v)] for m, v in report["sequence"]],
@@ -108,14 +108,15 @@ def _cmd_walk(args) -> str:
     if args.action == "truncated":
         if args.radius is None:
             raise ValidationError("truncated needs --radius")
+        from . import randwalk  # the one command that loads numpy
         value = randwalk.truncated_rho(gset, mu, radius=args.radius)
         return _fmt_float(value)
     if args.action == "invorbit":
         if args.seed is None:
             raise ValidationError("--seed is mandatory for invorbit")
-        stats = randwalk.inverted_orbit_stats(gset, mu, args.steps,
-                                              args.trials, args.seed)
-        exact = randwalk.expected_inverted_orbit_size(gset, mu, args.steps)
+        stats = walks.inverted_orbit_stats(gset, mu, args.steps,
+                                           args.trials, args.seed)
+        exact = walks.expected_inverted_orbit_size(gset, mu, args.steps)
         stats = {k: (_fmt_float(v) if isinstance(v, float) else v)
                  for k, v in stats.items()}
         stats["exactMeanSize"] = _fmt_rational(exact)

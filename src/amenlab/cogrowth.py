@@ -79,10 +79,13 @@ def _reduced_walk_counts(graph: SchreierGraph, n: int) -> List[int]:
     """
     letters = _directed_letters(graph.gset)
     size = len(graph.keys)
-    moves = [(last * size + src, (c + 1) * size + dst, 1)
-             for c, (src, dst) in enumerate(graph.word_edges((letter,))
-                                            for letter in letters)
-             for last in range(len(letters) + 1) if last != (c ^ 1) + 1]
+    moves = []
+    for c, letter in enumerate(letters):
+        src, dst = graph.word_edges((letter,))
+        after = [(c + 1) * size + j for j in dst]
+        moves.extend(([last * size + i for i in src], after, 1)
+                     for last in range(len(letters) + 1)
+                     if last != (c ^ 1) + 1)
     return [sum(weights[::size])
             for weights in walk_counts((len(letters) + 1) * size, moves, n)]
 

@@ -8,8 +8,8 @@ Two notions of boundary ratio appear:
   defines the Folner function ``fol_exact``.
 
 The searches and ``fol_exact`` run on the ids of the compiled ball
-(``graph.table``) through one escape count, #{v in F : v s not in F} per
-letter s.  Members are interior, so every image is in the table, and s acts
+(``graph.columns``) through one escape count, #{v in F : v s not in F} per
+letter s.  Members are interior, so every image is in the ball, and s acts
 bijectively, so #(F delta F s) is twice the escape count: both notions read
 the same number.  ``folner_ratios`` and ``worst_ratio`` take arbitrary keys
 and act on them; they are the oracle of the id-based kernels.
@@ -127,7 +127,7 @@ def folner_search(graph: SchreierGraph, epsilon: Fraction,
                   size_cap: int = 12, steps: int = 2000) -> FolnerReport:
     """Look for an interior set with worst one-sided ratio < epsilon."""
     epsilon = Fraction(epsilon)
-    columns = graph.table.T.tolist()
+    columns = [column.tolist() for column in graph.columns]
     pool = _interior_ids(graph)
     if not pool:
         raise ValidationError("no interior vertices; build a larger ball")
@@ -157,8 +157,8 @@ def _interior_ids(graph: SchreierGraph) -> List[int]:
 
 
 def _escapes(columns: List[List[int]], members) -> List[int]:
-    """#{v in F : v s not in F} for the letter s of each table column.
-    Members are interior, so every image is a table id."""
+    """#{v in F : v s not in F} for the letter s of each column.
+    Members are interior, so every image is a ball id."""
     inside = set(members)
     return [sum(column[v] not in inside for v in inside)
             for column in columns]
@@ -251,7 +251,7 @@ def fol_exact(graph: SchreierGraph, n: int,
     """
     if n < 1:
         raise ValidationError("Folner function argument must be >= 1")
-    columns = graph.table.T.tolist()
+    columns = [column.tolist() for column in graph.columns]
     for combo in _subsets(_interior_ids(graph), size_cap):
         if _fol_condition(columns, combo, n):
             return len(combo)

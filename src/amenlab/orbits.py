@@ -2,10 +2,11 @@
 
 A ``MarkedGSet`` is an action oracle: canonical vertex keys plus a right
 action of the generators.  ``build_ball`` materializes the labeled ball around
-the basepoint as a neighbour table over BFS ids, which the analyses consume:
-``walk_counts`` is the one exact integer walk DP on such ids, and
-``boundary_edges`` counts outgoing edges, refusing sets that touch the outer
-BFS shell (whose neighborhoods are unknown).
+the basepoint as one neighbour column per letter over BFS ids, which the
+analyses consume: ``walk_counts`` is the one exact integer walk DP on such
+ids, and ``boundary_edges`` counts outgoing edges, refusing sets that touch
+the outer BFS shell (whose neighborhoods are unknown).  Nothing here loads
+numpy.
 
 Registered specs (``make_gset`` is the one resolver every entry point uses):
 
@@ -27,8 +28,6 @@ from __future__ import annotations
 import json
 from array import array
 from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from . import selfsim
 from .errors import (CapExceeded, ValidationError, check_vertex_count,
@@ -90,17 +89,18 @@ class MarkedGSet:
 
 class SchreierGraph:
     """A labeled BFS ball: vertex ``keys`` numbered in BFS order, their
-    ``depths``, and the neighbour ``table``: ``table[i, c]`` is the id of
-    ``keys[i]`` acted on by ``letters[c]``, or -1 outside the ball."""
+    ``depths``, and one neighbour column per letter: ``columns[c][i]`` is
+    the id of ``keys[i]`` acted on by ``letters[c]``, or -1 outside the
+    ball."""
 
     def __init__(self, gset: MarkedGSet, radius: int, depths: Dict,
-                 ids: Dict, keys: List, table: np.ndarray):
+                 ids: Dict, keys: List, columns: List[array]):
         self.gset = gset
         self.radius = radius
         self.depths = depths
         self.ids = ids
         self.keys = keys
-        self.table = table
+        self.columns = columns
         self.letters = gset.edge_letters()
         self.base_key = gset.base_key
 
@@ -122,50 +122,54 @@ class SchreierGraph:
         return key in self.depths and self.depths[key] <= self.radius - 1
 
     def out_edges(self, key):
-        row = self.table[self.ids[key]].tolist() if key in self.ids else []
-        return [(self.letters[c], self.keys[j])
-                for c, j in enumerate(row) if j >= 0]
+        if key not in self.ids:
+            return []
+        i = self.ids[key]
+        return [(letter, self.keys[column[i]])
+                for letter, column in zip(self.letters, self.columns)
+                if column[i] >= 0]
 
     def column(self, letter: Letter) -> int:
-        """The table column of ``letter``; an involution has one column."""
+        """The column index of ``letter``; an involution has one column."""
         gen, sign = letter
         return self.letters.index((gen, 1 if self.gset.involutions[gen]
                                    else sign))
 
-    def word_edges(self, word: Word) -> Tuple[np.ndarray, np.ndarray]:
+    def word_edges(self, word: Word) -> Tuple[List[int], List[int]]:
         """The ids i whose key acted on by ``word`` lies in the ball, and the
         ids of those targets.  A path that leaves the ball before the word
         ends is finished on keys, since it may come back."""
-        targets = np.arange(len(self.keys))
+        targets = list(range(len(self.keys)))
         returned = {}
         for pos, letter in enumerate(word):
-            column = self.column(letter)
-            step = np.where(targets >= 0, self.table[targets, column], -1)
+            column = self.columns[self.column(letter)]
             if pos + 1 < len(word):
-                for i in np.flatnonzero((targets >= 0) & (step < 0)):
-                    key = self.gset.act_word(self.keys[targets[i]], word[pos:])
-                    returned[i] = self.ids.get(key, -1)
-            targets = step
-        targets[list(returned)] = list(returned.values())
-        src = np.flatnonzero(targets >= 0)
-        return src, targets[src]
+                for i, t in enumerate(targets):
+                    if t >= 0 and column[t] < 0:
+                        key = self.gset.act_word(self.keys[t], word[pos:])
+                        returned[i] = self.ids.get(key, -1)
+            targets = [column[t] if t >= 0 else -1 for t in targets]
+        for i, t in returned.items():
+            targets[i] = t
+        src = [i for i, t in enumerate(targets) if t >= 0]
+        return src, [targets[i] for i in src]
 
     def to_json(self) -> str:
         """The ball as JSON: vertices by (depth, shown key), edges by shown
-        (src, gen, dst).  Shown keys and letter names are unique, so each
-        order is a lexsort of integer ranks."""
+        (src, gen, dst).  Shown keys and letter names are unique, and each
+        (src, letter) has one target, so both orders are id orders: sources
+        sorted by shown key, then columns by letter name."""
         shown = [self.gset.show_key(key) for key in self.keys]
         names = [self.gset.letter_name(letter) for letter in self.letters]
-        rank, gen_rank = _ranks(shown), _ranks(names)
+        by_shown = sorted(range(len(shown)), key=shown.__getitem__)
         depth = [self.depths[key] for key in self.keys]
         vertices = [{"key": shown[i], "depth": depth[i]}
-                    for i in np.lexsort((rank, depth)).tolist()]
-        src, col = np.nonzero(self.table >= 0)
-        dst = self.table[src, col]
-        order = np.lexsort((rank[dst], gen_rank[col], rank[src]))
-        edges = [{"src": shown[i], "gen": names[c], "dst": shown[j]}
-                 for i, c, j in zip(src[order].tolist(), col[order].tolist(),
-                                    dst[order].tolist())]
+                    for i in sorted(by_shown, key=depth.__getitem__)]
+        by_name = [(names[c], self.columns[c])
+                   for c in sorted(range(len(names)), key=names.__getitem__)]
+        edges = [{"src": shown[i], "gen": name, "dst": shown[column[i]]}
+                 for i in by_shown for name, column in by_name
+                 if column[i] >= 0]
         payload = {
             "group": self.gset.spec,
             "basepoint": shown[0],
@@ -174,14 +178,6 @@ class SchreierGraph:
             "edges": edges,
         }
         return json.dumps(payload, sort_keys=True)
-
-
-def _ranks(strings: List[str]) -> np.ndarray:
-    """The position of each string in the sorted list."""
-    rank = np.empty(len(strings), dtype=np.intp)
-    rank[sorted(range(len(strings)), key=strings.__getitem__)] = \
-        np.arange(len(strings))
-    return rank
 
 
 # -- coset action H\F2 ----------------------------------------------------
@@ -315,16 +311,20 @@ class _SelfsimCanonicalizer:
     of its bucket that ``selfsim.equals_selfsim`` finds equal to it, or
     joins the bucket as a new canonical element; so the level only has to
     be deep enough to keep buckets small, and no merge is unverified.
-    Acting by a letter s on a known element g is one gather,
-    perm(g s) = perm_s[perm(g)]; an element the canonicalizer did not return
-    falls back to ``selfsim.level_permutation``.
+    Acting by a letter s on a known element g is one byte translation,
+    perm(g s) = perm_s[perm(g)], so the depth is at most 8; an element the
+    canonicalizer did not return falls back to ``selfsim.level_permutation``.
     """
 
     def __init__(self, depth: int, elements: Dict):
         self.depth = depth
         self.elements = elements
-        self.perms = {letter: selfsim.level_permutation(g, depth)
-                      for letter, g in elements.items()}
+        # translate() needs 256-byte tables: pad each letter's permutation
+        # with the identity on the leaves a shallower level does not have
+        self.translations = {}
+        for letter, g in elements.items():
+            perm = selfsim.level_permutation(g, depth)
+            self.translations[letter] = perm + bytes(range(len(perm), 256))
         self.table: Dict[bytes, List[selfsim.TreeAutomorphism]] = {}
         self.sigs: Dict[selfsim.TreeAutomorphism, bytes] = {}
 
@@ -334,13 +334,12 @@ class _SelfsimCanonicalizer:
     def act(self, key: selfsim.TreeAutomorphism,
             letter: Letter) -> selfsim.TreeAutomorphism:
         sig = self.sigs.get(key)
-        perm = selfsim.level_permutation(key, self.depth) if sig is None \
-            else np.frombuffer(sig, dtype=self.perms[letter].dtype)
+        if sig is None:
+            sig = selfsim.level_permutation(key, self.depth)
         return self._lookup(key * self.elements[letter],
-                            self.perms[letter][perm])
+                            sig.translate(self.translations[letter]))
 
-    def _lookup(self, g, perm) -> selfsim.TreeAutomorphism:
-        sig = perm.tobytes()
+    def _lookup(self, g, sig: bytes) -> selfsim.TreeAutomorphism:
         bucket = self.table.setdefault(sig, [])
         for known in bucket:
             if selfsim.equals_selfsim(g, known):
@@ -407,7 +406,7 @@ def build_ball(gset: MarkedGSet, radius: int,
     keys = [gset.base_key]
     ids: Dict = {gset.base_key: 0}
     depths: Dict = {gset.base_key: 0}
-    table = array("i")
+    table = array("i")  # row-major: one row of ids per vertex
     for key in keys:  # keys grows while the BFS runs
         depth = depths[key]
         for letter in letters:
@@ -425,21 +424,23 @@ def build_ball(gset: MarkedGSet, radius: int,
                                           partial=j + 1)
                     check_vertex_count(j + 1, "ball construction", budget)
             table.append(j)
-    table = np.frombuffer(table, dtype=np.intc).reshape(len(keys), -1)
-    return SchreierGraph(gset, radius, depths, ids, keys, table)
+    columns = [table[c::len(letters)] for c in range(len(letters))]
+    return SchreierGraph(gset, radius, depths, ids, keys, columns)
 
 
 def walk_counts(size: int, moves, n: int):
     """Yield the exact integer weights on ``size`` states after 0..n steps
-    from state 0: a move (src, dst, weight) adds weight times the weight at
-    src[k] to dst[k], and the dst of one move are distinct."""
-    current = np.zeros(size, dtype=object)
+    from state 0, as lists: a move (src, dst, weight) adds weight times the
+    weight at src[k] to dst[k]."""
+    current = [0] * size
     current[0] = 1
     yield current
     for _ in range(n):
-        current, previous = np.zeros(size, dtype=object), current
+        current, previous = [0] * size, current
         for src, dst, weight in moves:
-            current[dst] += previous[src] * weight
+            for i, j in zip(src, dst):
+                if previous[i]:
+                    current[j] += previous[i] * weight
         yield current
 
 

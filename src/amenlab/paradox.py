@@ -81,7 +81,7 @@ def translated_cell(word: Word) -> str:
 
 def _f2_ball(radius: int) -> Tuple[List[Word], List[Word]]:
     """B(radius) of F2 in BFS order, and B(radius - 1) from its depths;
-    the neighbour table is freed before the caller builds the pieces."""
+    the neighbour columns are freed before the caller builds the pieces."""
     graph = build_ball(make_gset("free:2"), radius)
     return graph.keys, graph.interior()
 

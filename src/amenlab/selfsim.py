@@ -14,11 +14,15 @@ with sections indexed by the input letter.  The product rule is
 (g h)_x = g_x h_{x pi_g}, pi_{g h} = pi_g pi_h.
 
 Level permutations: ``level_permutation(g, d)`` is the action of g on level d
-as a numpy index array p, leaf i (the d-bit word of i, first letter most
-significant) going to leaf p[i].  Each letter's array is built once per
-family and depth from the wreath recursion, read-only and on first use; a
-word's array folds them along the word, and since the action is on the right,
-p_{g h} = p_h[p_g].  ``signature`` formats the same array as image words.
+as a sequence p of leaf indices, leaf i (the d-bit word of i, first letter
+most significant) going to leaf p[i].  Up to level 8 a level has at most 256
+leaves and p is ``bytes``: each letter's permutation is built once per
+family and level from the wreath recursion, on first use, and a word's
+permutation folds them along the word with ``bytes.translate``, since for a
+right action p_{g h} = p_h[p_g].  Past level 8 p is an ``array``: a leaf is
+a vertex u of level d - 8 followed by 8 letters x, and (u x) g =
+(u g)(x g_u), so p is the level-8 permutations of the sections g_u, each
+offset by the image of u.  ``signature`` formats p as image words.
 
 Equality is exact in both families, by one search over the sections of a word
 (``is_identity``): w = 1 exactly when no section reachable from w swaps the
@@ -30,9 +34,8 @@ many words.  Its identity memo is a bounded cache: when full it starts over.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Tuple
-
-import numpy as np
+from array import array
+from typing import Dict, List, Optional, Tuple
 
 from .errors import ValidationError, check_vertex_count
 from .groups import _free_reduce, tokenize
@@ -231,60 +234,79 @@ def act_on_word(g: TreeAutomorphism, x: str) -> str:
 
 # -- level permutations ----------------------------------------------------
 
-# (family, depth) -> {letter: read-only index array of its action on level
-# depth}; filled on first use, one depth at a time.
-_letter_perms_memo: Dict[Tuple[str, int], Dict] = {}
+# The deepest level whose permutations are bytes (256 leaves).
+_BYTE_DEPTH = 8
+_IDENTITY = bytes(range(256))
+
+# (family, depth) -> {letter: 256-byte translation table of its action on
+# level depth <= 8, the identity past the level's leaves}; filled on first
+# use, one depth at a time.
+_letter_tables_memo: Dict[Tuple[str, int], Dict] = {}
 
 
-def _leaf_dtype(depth: int):
-    return np.min_scalar_type((1 << depth) - 1)
-
-
-def _fold(perms: Dict, letters, depth: int) -> np.ndarray:
-    """The level-``depth`` permutation of a word: for a right action,
-    x (g h) = (x g) h, so each letter's array gathers the running one."""
-    out = None
+def _fold(tables: Dict, letters, size: int) -> bytes:
+    """The permutation of a word on a level of ``size`` <= 256 leaves: for
+    a right action, x (g h) = (x g) h, so each letter's table translates
+    the running permutation."""
+    out = _IDENTITY[:size]
     for letter in letters:
-        out = perms[letter] if out is None else perms[letter][out]
-    return np.arange(1 << depth, dtype=_leaf_dtype(depth)) if out is None \
-        else out
+        out = out.translate(tables[letter])
+    return out
 
 
-def _letter_perms(family: str, depth: int) -> Dict:
-    """Each letter's action on level ``depth``, from the wreath recursion:
-    leaf x0 w goes to (x0 pi) (w s_x0), so the array is the two section
-    arrays of level depth - 1, offset by the image of the first letter."""
+def _letter_tables(family: str, depth: int) -> Dict:
+    """Each letter's action on level ``depth`` <= 8, from the wreath
+    recursion: leaf x0 w goes to (x0 pi) (w s_x0), so the permutation is
+    the two section permutations of level depth - 1, offset by the image
+    of the first letter."""
     key = (family, depth)
-    perms = _letter_perms_memo.get(key)
-    if perms is not None:
-        return perms
+    tables = _letter_tables_memo.get(key)
+    if tables is not None:
+        return tables
     table = _TABLES[family]
     if depth == 0:
-        perms = {letter: np.zeros(1, dtype=np.uint8) for letter in table}
+        tables = {letter: _IDENTITY for letter in table}
     else:
         check_vertex_count(1 << depth, "level permutation")
-        below = _letter_perms(family, depth - 1)
-        dtype, half = _leaf_dtype(depth), 1 << (depth - 1)
-        perms = {}
+        below, half = _letter_tables(family, depth - 1), 1 << (depth - 1)
+        tables = {}
         for letter, (s0, s1, swap) in table.items():
-            perms[letter] = np.concatenate([
-                _fold(below, s0, depth - 1).astype(dtype) + swap * half,
-                _fold(below, s1, depth - 1).astype(dtype) + (not swap) * half,
-            ])
-    for array in perms.values():
-        array.flags.writeable = False
-    _letter_perms_memo[key] = perms
-    return perms
+            perm = bytes([b + swap * half for b in _fold(below, s0, half)]
+                         + [b + (not swap) * half
+                            for b in _fold(below, s1, half)])
+            tables[letter] = perm + _IDENTITY[len(perm):]
+    _letter_tables_memo[key] = tables
+    return tables
 
 
-def level_permutation(g: TreeAutomorphism, depth: int) -> np.ndarray:
-    """The action of ``g`` on level ``depth`` as an index array: leaf i is the
-    ``depth``-bit word of i (first letter most significant) and goes to leaf
-    ``level_permutation(g, depth)[i]``.  The array may be shared: do not
-    write to it."""
+def _sections(g: TreeAutomorphism, depth: int) -> List[Tuple]:
+    """(image of u, section g_u) for the vertices u of level ``depth``, in
+    leaf order: (x0 u) g = (x0 pi) (u g_x0)."""
+    if depth == 0:
+        return [(0, g)]
+    decomp = wreath_decompose(g)
+    half = 1 << (depth - 1)
+    return [((x0 ^ decomp.swap) * half + image, section)
+            for x0 in (0, 1)
+            for image, section in _sections(decomp.sections[x0], depth - 1)]
+
+
+def level_permutation(g: TreeAutomorphism, depth: int):
+    """The action of ``g`` on level ``depth``: leaf i is the ``depth``-bit
+    word of i (first letter most significant) and goes to leaf
+    ``level_permutation(g, depth)[i]``; ``bytes`` up to level 8, an
+    ``array`` of unsigned integers past it."""
     if depth < 0:
         raise ValidationError("depth must be >= 0")
-    return _fold(_letter_perms(g.family, depth), g.word, depth)
+    if depth <= _BYTE_DEPTH:
+        return _fold(_letter_tables(g.family, depth), g.word, 1 << depth)
+    check_vertex_count(1 << depth, "level permutation")
+    tables = _letter_tables(g.family, _BYTE_DEPTH)
+    out = array("H" if depth <= 16 else "L")
+    for image, section in _sections(g, depth - _BYTE_DEPTH):
+        base = image << _BYTE_DEPTH
+        out.extend([base + b for b in _fold(tables, section.word, 256)])
+    return out
 
 
 def signature(g: TreeAutomorphism, depth: int) -> Tuple[str, ...]:
@@ -292,7 +314,7 @@ def signature(g: TreeAutomorphism, depth: int) -> Tuple[str, ...]:
     perm = level_permutation(g, depth)
     if depth == 0:
         return ("",)
-    return tuple(format(i, f"0{depth}b") for i in perm.tolist())
+    return tuple(format(i, f"0{depth}b") for i in perm)
 
 
 # -- exact equality ----------------------------------------------------------

@@ -386,15 +386,17 @@ def test_coset_spec_means_the_schreier_graph_in_growth(capsys):
 
 ANALYSIS_MODULES = {f"amenlab.{name}" for name in (
     "cellauto", "cogrowth", "groups", "isoperimetry", "orbits", "paradox",
-    "randwalk", "selfsim", "topfull")}
+    "randwalk", "selfsim", "topfull", "walks")}
 
 
-def _modules_after(argv=None):
+def _modules_after(argv=None, imports=()):
     """The modules a fresh interpreter holds after importing amenlab.cli
-    and, given ``argv``, running ``cli.main`` on it."""
+    and the amenlab modules named in ``imports`` and, given ``argv``,
+    running ``cli.main`` on it."""
     script = (
         "import contextlib, io, sys\n"
         "from amenlab import cli\n"
+        + "".join(f"import amenlab.{name}\n" for name in imports) +
         f"argv = {argv!r}\n"
         "if argv is not None:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -429,6 +431,41 @@ def test_ca_and_topfull_run_without_numpy(command):
     module = {"ca": "amenlab.cellauto", "topfull": "amenlab.topfull"}
     assert module[command.split()[0]] in loaded
     assert "numpy" not in loaded
+
+
+def _readme_commands():
+    """The commands of the README's "Command line" block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+    return [line[len("amenlab "):] for line in block.split("```", 1)[0]
+            .splitlines() if line.startswith("amenlab ")]
+
+
+def test_the_readme_block_is_the_one_the_guard_reads():
+    assert len(_readme_commands()) == 8
+    assert "growth --group grigorchuk --radius 8" in _readme_commands()
+
+
+@pytest.mark.parametrize("command", _readme_commands() + [
+    "walk rho --group z:2 --steps 8",
+    "walk invorbit --group z:2 --steps 6 --trials 20 --seed 1",
+    "cogrowth series --group z:2 --length 8",
+])
+def test_exact_commands_run_without_numpy(command):
+    assert "numpy" not in _modules_after(_argv(command))
+
+
+def test_exact_modules_load_no_numpy():
+    exact = ("orbits", "selfsim", "isoperimetry", "paradox", "cogrowth",
+             "walks")
+    loaded = _modules_after(imports=exact)
+    assert {f"amenlab.{name}" for name in exact} <= loaded
+    assert "numpy" not in loaded
+
+
+def test_walk_truncated_is_the_command_that_loads_numpy():
+    loaded = _modules_after(_argv("walk truncated --group free:2 --radius 3"))
+    assert {"amenlab.randwalk", "numpy"} <= loaded
 
 
 _RANK_TEXT = st.one_of(st.integers(-1, 3).map(str),

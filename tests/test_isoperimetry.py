@@ -249,7 +249,7 @@ def test_escape_counts_match_the_key_recipes(spec, data):
     ids = data.draw(st.sets(st.integers(0, len(graph.interior()) - 1),
                             min_size=1, max_size=8))
     keys = [graph.keys[v] for v in ids]
-    columns = graph.table.T.tolist()
+    columns = [column.tolist() for column in graph.columns]
     escapes = isoperimetry._escapes(columns, ids)
     ratios = {gset.letter_name(letter): Fraction(e, len(ids))
               for letter, e in zip(graph.letters, escapes)}
@@ -319,7 +319,7 @@ def _greedy_ball(spec, radius):
        epsilon=st.fractions(0, 1, max_denominator=12))
 def test_incremental_greedy_matches_the_recount(ball, epsilon):
     graph = _greedy_ball(*ball)
-    columns = graph.table.T.tolist()
+    columns = [column.tolist() for column in graph.columns]
     pool = isoperimetry._interior_ids(graph)
     assert isoperimetry._greedy_search(graph, columns, pool, epsilon) == \
         _recount_greedy(columns, pool, epsilon)

@@ -3,7 +3,6 @@
 import itertools
 import json
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +11,7 @@ from amenlab.errors import CapExceeded, ValidationError, vertex_budget
 from amenlab.groups import _free_reduce
 from amenlab.isoperimetry import growth_series
 from amenlab.orbits import (boundary_edges, build_ball, coset_canonical,
-                            coset_contains, make_gset)
+                            coset_contains, make_gset, walk_counts)
 from amenlab.selfsim import equals_selfsim, grigorchuk
 
 
@@ -82,7 +81,7 @@ class TestSelfsimCanonicalizer:
         for spec, want in expected.items():
             graph = build_ball(make_gset(spec), 4)
             assert graph.keys == want.keys
-            assert np.array_equal(graph.table, want.table)
+            assert graph.columns == want.columns
 
     def test_foreign_keys_fall_back_to_level_permutation(self):
         gset = make_gset("cayley:grigorchuk")
@@ -183,7 +182,7 @@ class TestStepActions:
             expected = build_ball(reference, radius)
             assert graph.keys == expected.keys
             assert graph.depths == expected.depths
-            assert (graph.table == expected.table).all()
+            assert graph.columns == expected.columns
 
     def test_act_path_calls_no_whole_word_reduction(self, monkeypatch):
         def refuse(*args):
@@ -241,7 +240,8 @@ class TestSerialization:
     @pytest.mark.parametrize("spec, radius", [
         ("z:2", 3), ("free:3", 3), ("coset:f2", 6), ("lamplighter", 4),
         ("dihedral", 5), ("zmod:3,4", 4), ("cayley:grigorchuk", 3),
-        ("orbit:basilica:depth=4", 6),
+        ("orbit:basilica:depth=4", 6), ("z:1", 4), ("free:1", 3),
+        ("cayley:basilica", 3), ("orbit:grigorchuk:depth=5", 8),
     ])
     def test_json_equals_the_string_sort(self, spec, radius):
         graph = build_ball(make_gset(spec), radius)
@@ -260,6 +260,64 @@ class TestSerialization:
         graph = build_ball(gset, 8)
         # the level-3 action is transitive: all 8 vertices appear
         assert len(graph.depths) == 8
+
+
+# -- the neighbour columns against acting on keys ----------------------------
+
+WALK_SPECS = ["z:1", "z:2", "zmod:3,4", "dihedral", "lamplighter", "free:2",
+              "coset:f2", "cayley:grigorchuk", "orbit:basilica:depth=4"]
+_WALK_GSETS = {spec: make_gset(spec) for spec in WALK_SPECS}
+
+
+@st.composite
+def _ball_and_words(draw):
+    """A spec's ball of radius 0..3 and one to three words of length 0..3."""
+    spec = draw(st.sampled_from(WALK_SPECS))
+    gset = _WALK_GSETS[spec]
+    letter = st.tuples(st.integers(0, len(gset.names) - 1),
+                       st.sampled_from([1, -1]))
+    words = draw(st.lists(st.lists(letter, max_size=3).map(tuple),
+                          min_size=1, max_size=3))
+    return build_ball(gset, draw(st.integers(0, 3))), words
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ball_and_words())
+def test_word_edges_match_acting_on_keys(case):
+    graph, words = case
+    for word in words:
+        expected = [(i, graph.ids[target]) for i, key in enumerate(graph.keys)
+                    for target in [graph.gset.act_word(key, word)]
+                    if target in graph.ids]
+        src, dst = graph.word_edges(word)
+        assert isinstance(src, list) and isinstance(dst, list)
+        assert list(zip(src, dst)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ball_and_words(), st.lists(st.integers(1, 4), min_size=3,
+                                   max_size=3), st.integers(0, 4))
+def test_walk_counts_match_a_walk_on_keys(case, weights, n):
+    graph, words = case
+    gset = graph.gset
+    # a ball of radius n * (longest word) holds every walk of n steps;
+    # n * (longest word) <= 6 keeps the free group's ball small
+    longest = max(len(word) for word in words)
+    n = min(n, 6 // longest) if longest else n
+    graph = build_ball(gset, n * longest)
+    moves = [(*graph.word_edges(word), weight)
+             for word, weight in zip(words, weights)]
+    current = {gset.base_key: 1}
+    for m, counts in enumerate(walk_counts(len(graph.keys), moves, n)):
+        assert isinstance(counts, list)
+        assert counts == [current.get(key, 0) for key in graph.keys]
+        assert sum(current.values()) == sum(weights[:len(words)]) ** m
+        following = {}
+        for key, count in current.items():
+            for word, weight in zip(words, weights):
+                target = gset.act_word(key, word)
+                following[target] = following.get(target, 0) + count * weight
+        current = following
 
 
 def test_unknown_specs_rejected():

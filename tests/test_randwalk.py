@@ -9,12 +9,13 @@ import pytest
 
 from amenlab.errors import CapExceeded, ValidationError
 from amenlab.orbits import build_ball, make_gset
-from amenlab.randwalk import (StepMeasure, expected_inverted_orbit_size,
-                              inverted_orbit_stats, kesten_check,
-                              lazy_measure, measure_power,
-                              operator_identity_residual, return_probability,
-                              return_sequence, rho_lower_bound, srw_measure,
-                              truncated_rho, _radial_return_sequence)
+from amenlab.randwalk import (kesten_check, operator_identity_residual,
+                              truncated_rho)
+from amenlab.walks import (StepMeasure, expected_inverted_orbit_size,
+                           inverted_orbit_stats, lazy_measure, measure_power,
+                           return_probability, return_sequence,
+                           rho_lower_bound, srw_measure,
+                           _radial_return_sequence)
 
 
 class TestMeasures:
@@ -86,6 +87,28 @@ class TestReturnProbabilities:
                                    precision="float")
         assert abs(value - 6.0 / 16.0) < 1e-12
 
+    def test_float_law_rounds_the_exact_law(self):
+        gset = make_gset("cayley:free:2")
+        mu = srw_measure(gset)
+        exact = measure_power(gset, mu, 6)
+        rounded = measure_power(gset, mu, 6, "float")
+        assert rounded.precision == "float"
+        assert rounded.entries == {key: float(mass)
+                                   for key, mass in exact.entries.items()}
+
+    def test_float_law_with_many_atoms_is_accepted(self):
+        # 97,656 atoms summing to exactly 1; their float masses sum about
+        # 3.3e-12 away from 1, so only the exact total can be checked
+        gset = make_gset("cayley:free:3")
+        law = measure_power(gset, srw_measure(gset), 7, "float")
+        assert len(law) == 97_656
+        assert abs(math.fsum(law.entries.values()) - 1.0) < 1e-15
+
+    def test_unknown_precision_rejected(self):
+        gset = make_gset("cayley:z:1")
+        with pytest.raises(ValidationError):
+            measure_power(gset, srw_measure(gset), 2, "decimal")
+
 
 class TestSpectralRadius:
     def test_lower_bound_is_monotone_evidence(self):
@@ -105,6 +128,17 @@ class TestSpectralRadius:
         # the ball of radius r in Z is a path with 2r+1 vertices
         value = truncated_rho(make_gset("cayley:z:1"), radius=10)
         assert abs(value - math.cos(math.pi / 22)) < 1e-9
+
+    @pytest.mark.parametrize("spec, radius, value", [
+        # recorded before the exact core dropped numpy
+        ("cayley:free:2", 8, "0x1.a8f7b66a9b816p-1"),   # power iteration
+        ("cayley:free:2", 5, "0x1.9777bb52b6b5ep-1"),   # dense solver
+        ("cayley:z:1", 40, "0x1.ff9fd11f395dep-1"),
+    ])
+    def test_truncated_rho_on_built_balls_is_pinned(self, spec, radius,
+                                                    value):
+        graph = build_ball(make_gset(spec), radius)
+        assert truncated_rho(graph).hex() == value
 
     def test_truncated_rho_needs_radius_for_gsets(self):
         with pytest.raises(ValidationError):

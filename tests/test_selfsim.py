@@ -2,8 +2,8 @@
 for the self-similar tree automorphism groups."""
 
 import random
+from array import array
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -219,17 +219,31 @@ def _leaves(depth):
 def test_level_permutation_matches_the_leaf_action(pair, depth):
     g, h = pair
     perm = level_permutation(g, depth)
+    # bytes up to level 8 (256 leaves), an array of leaf indices past it
+    assert isinstance(perm, bytes if depth <= 8 else array)
     leaves = _leaves(depth)
-    assert [leaves[i] for i in perm.tolist()] == \
-        [act_on_word(g, x) for x in leaves]
+    assert [leaves[i] for i in perm] == [act_on_word(g, x) for x in leaves]
     # right action: x (g h) = (x g) h
-    assert np.array_equal(level_permutation(g * h, depth),
-                          level_permutation(h, depth)[perm])
+    after = level_permutation(h, depth)
+    assert list(level_permutation(g * h, depth)) == [after[i] for i in perm]
+
+
+@pytest.mark.parametrize("depth", range(11))
+def test_level_permutation_of_every_letter_at_every_depth(depth):
+    # levels 0..8 give bytes, 9 and 10 an array: both sides of the boundary
+    leaves = _leaves(depth)
+    elements = [grigorchuk(ch) for ch in "abcd"] + \
+        [basilica(t) for t in ("a", "b", "a^-1", "b^-1", "a b^-1 a b")]
+    for g in elements:
+        perm = level_permutation(g, depth)
+        assert isinstance(perm, bytes if depth <= 8 else array)
+        assert [leaves[i] for i in perm] == \
+            [act_on_word(g, x) for x in leaves]
 
 
 def test_level_permutations_are_read_only():
     perm = level_permutation(grigorchuk("b"), 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         perm[0] = 1
 
 
@@ -302,7 +316,7 @@ _ORACLE_WORDS = st.one_of(_conjugated(_GRIG_WORDS, "grigorchuk"),
 def test_is_identity_agrees_with_the_level_16_action(g):
     verdict = is_identity(g)
     perm = level_permutation(g, 16)
-    assert verdict.equal == bool(np.array_equal(perm, np.arange(len(perm))))
+    assert verdict.equal == (list(perm) == list(range(len(perm))))
     assert not verdict.approximate and verdict.depth is None
 
 

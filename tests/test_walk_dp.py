@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from amenlab import cogrowth
 from amenlab.orbits import build_ball, make_gset
-from amenlab.randwalk import (StepMeasure, _transition_rows, measure_power,
-                              return_sequence)
+from amenlab.randwalk import _transition_rows
+from amenlab.walks import StepMeasure, measure_power, return_sequence
 
 SPECS = ["z:1", "z:2", "zmod:3,4", "dihedral", "lamplighter", "coset:f2",
          "orbit:grigorchuk:depth=3", "free:2"]

@@ -319,12 +319,8 @@ class _SelfsimCanonicalizer:
     def __init__(self, depth: int, elements: Dict):
         self.depth = depth
         self.elements = elements
-        # translate() needs 256-byte tables: pad each letter's permutation
-        # with the identity on the leaves a shallower level does not have
-        self.translations = {}
-        for letter, g in elements.items():
-            perm = selfsim.level_permutation(g, depth)
-            self.translations[letter] = perm + bytes(range(len(perm), 256))
+        self.translations = {letter: selfsim.translation_table(g, depth)
+                             for letter, g in elements.items()}
         self.table: Dict[bytes, List[selfsim.TreeAutomorphism]] = {}
         self.sigs: Dict[selfsim.TreeAutomorphism, bytes] = {}
 

@@ -254,6 +254,12 @@ def _fold(tables: Dict, letters, size: int) -> bytes:
     return out
 
 
+def _padded(perm: bytes) -> bytes:
+    """A permutation of at most 256 leaves as a ``bytes.translate`` table:
+    the identity past the level's leaves."""
+    return perm + _IDENTITY[len(perm):]
+
+
 def _letter_tables(family: str, depth: int) -> Dict:
     """Each letter's action on level ``depth`` <= 8, from the wreath
     recursion: leaf x0 w goes to (x0 pi) (w s_x0), so the permutation is
@@ -274,7 +280,7 @@ def _letter_tables(family: str, depth: int) -> Dict:
             perm = bytes([b + swap * half for b in _fold(below, s0, half)]
                          + [b + (not swap) * half
                             for b in _fold(below, s1, half)])
-            tables[letter] = perm + _IDENTITY[len(perm):]
+            tables[letter] = _padded(perm)
     _letter_tables_memo[key] = tables
     return tables
 
@@ -307,6 +313,14 @@ def level_permutation(g: TreeAutomorphism, depth: int):
         base = image << _BYTE_DEPTH
         out.extend([base + b for b in _fold(tables, section.word, 256)])
     return out
+
+
+def translation_table(g: TreeAutomorphism, depth: int) -> bytes:
+    """The action of ``g`` on level ``depth`` <= 8 as a 256-byte table for
+    ``bytes.translate``: perm(h g) = level_permutation(h).translate(table)."""
+    if depth > _BYTE_DEPTH:
+        raise ValidationError(f"translation tables stop at level {_BYTE_DEPTH}")
+    return _padded(level_permutation(g, depth))
 
 
 def signature(g: TreeAutomorphism, depth: int) -> Tuple[str, ...]:

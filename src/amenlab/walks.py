@@ -98,20 +98,19 @@ _PRECISIONS = ("exact", "float")
 
 
 class Distribution:
-    """Finitely supported probability on vertex keys."""
+    """Finitely supported probability on vertex keys: the law weight / scale
+    of nonnegative integer weights."""
 
-    def __init__(self, entries: Dict, precision: str):
+    def __init__(self, weights: Dict, scale: int, precision: str):
         if precision not in _PRECISIONS:
             raise ValidationError("precision must be 'exact' or 'float'")
-        total = sum(entries.values())
-        if precision == "exact":
-            if total != 1:
-                raise ValidationError("exact distribution must sum to 1")
-        elif abs(total - 1.0) > 1e-12:
-            raise ValidationError("float distribution total deviates from 1")
-        if any(v < 0 for v in entries.values()):
-            raise ValidationError("negative mass")
-        self.entries = dict(entries)
+        # checked exactly, on the integers, before any rounding: a float
+        # total drifts from 1 by a rounding error that grows with the number
+        # of atoms
+        if sum(weights.values()) != scale:
+            raise ValidationError("distribution must sum to 1")
+        convert = Fraction if precision == "exact" else operator.truediv
+        self.entries = {key: convert(w, scale) for key, w in weights.items()}
         self.precision = precision
 
     def mass(self, key):
@@ -120,23 +119,6 @@ class Distribution:
 
     def __len__(self):
         return len(self.entries)
-
-    @classmethod
-    def from_weights(cls, weights: Dict, scale: int,
-                     precision: str) -> "Distribution":
-        """The law weight / scale of nonnegative integer weights.  The total
-        is checked exactly, on the integers, before any rounding: a float
-        total drifts from 1 by a rounding error that grows with the number
-        of atoms."""
-        if precision not in _PRECISIONS:
-            raise ValidationError("precision must be 'exact' or 'float'")
-        if sum(weights.values()) != scale:
-            raise ValidationError("exact distribution must sum to 1")
-        law = cls.__new__(cls)
-        convert = Fraction if precision == "exact" else operator.truediv
-        law.entries = {key: convert(w, scale) for key, w in weights.items()}
-        law.precision = precision
-        return law
 
 
 def measure_power(gset: MarkedGSet, mu: StepMeasure, n: int,
@@ -151,7 +133,7 @@ def measure_power(gset: MarkedGSet, mu: StepMeasure, n: int,
         )
     denominator, graph, counts = _scaled_walk(gset, mu, n, closed=False)
     *_, weights = counts
-    return Distribution.from_weights(
+    return Distribution(
         {graph.keys[i]: weight for i, weight in enumerate(weights) if weight},
         denominator ** n, precision)
 

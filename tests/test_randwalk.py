@@ -11,7 +11,7 @@ from amenlab.errors import CapExceeded, ValidationError
 from amenlab.orbits import build_ball, make_gset
 from amenlab.randwalk import (kesten_check, operator_identity_residual,
                               truncated_rho)
-from amenlab.walks import (StepMeasure, expected_inverted_orbit_size,
+from amenlab.walks import (Distribution, StepMeasure, expected_inverted_orbit_size,
                            inverted_orbit_stats, lazy_measure, measure_power,
                            return_probability, return_sequence,
                            rho_lower_bound, srw_measure,
@@ -103,6 +103,13 @@ class TestReturnProbabilities:
         law = measure_power(gset, srw_measure(gset), 7, "float")
         assert len(law) == 97_656
         assert abs(math.fsum(law.entries.values()) - 1.0) < 1e-15
+
+    def test_law_total_is_checked_on_the_integer_weights(self):
+        assert Distribution({"x": 1, "y": 2}, 3, "float").entries == {
+            "x": 1 / 3, "y": 2 / 3}
+        for precision in ("exact", "float"):
+            with pytest.raises(ValidationError):
+                Distribution({"x": 1, "y": 1}, 3, precision)
 
     def test_unknown_precision_rejected(self):
         gset = make_gset("cayley:z:1")

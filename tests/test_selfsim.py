@@ -13,7 +13,8 @@ from amenlab.selfsim import (ETA, TreeAutomorphism, act_on_word, basilica,
                              element_order, equals_selfsim, eta_norm,
                              grig_reduce, grigorchuk, is_identity,
                              level_permutation, portrait, sigma_apply,
-                             signature, wreath_decompose, _LETTER_NORMS)
+                             signature, translation_table, wreath_decompose,
+                             _LETTER_NORMS)
 
 
 def syllable_words(max_len):
@@ -239,6 +240,21 @@ def test_level_permutation_of_every_letter_at_every_depth(depth):
         assert isinstance(perm, bytes if depth <= 8 else array)
         assert [leaves[i] for i in perm] == \
             [act_on_word(g, x) for x in leaves]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PAIRS, st.integers(0, 8))
+def test_translation_table_acts_on_the_right(pair, depth):
+    g, h = pair
+    table = translation_table(h, depth)
+    assert len(table) == 256
+    assert level_permutation(g, depth).translate(table) == \
+        level_permutation(g * h, depth)
+
+
+def test_translation_tables_stop_at_level_8():
+    with pytest.raises(ValidationError):
+        translation_table(grigorchuk("a"), 9)
 
 
 def test_level_permutations_are_read_only():

@@ -41,10 +41,6 @@ class ZdSpace:
     def identity(self):
         return (0,) * self.dim
 
-    @property
-    def finite(self) -> bool:
-        return self.mods is not None
-
     def mul(self, site, step):
         out = tuple(a + b for a, b in zip(site, step))
         if self.mods is not None:
@@ -88,10 +84,6 @@ class InvolutionProductSpace:
     @property
     def identity(self) -> str:
         return ""
-
-    @property
-    def finite(self) -> bool:
-        return False
 
     def mul(self, site: str, step: str) -> str:
         out = site
@@ -274,6 +266,30 @@ def _enumerate_patterns(space, sites: Sequence, alphabet: Sequence):
         yield CellPattern(space, dict(zip(sites, combo)))
 
 
+def _images_on(rule: LocalRule, window: Sequence, budget: int,
+               scan: str) -> set:
+    """The restrictions to the window of the images of every configuration
+    on its memory-extended window, each a tuple in the window's order."""
+    extended = set(window)
+    for g in window:
+        for s in rule.memory:
+            extended.add(rule.space.mul(g, s))
+    extended = sorted(extended, key=str)
+    total = len(rule.alphabet) ** len(extended)
+    if total > budget:
+        raise CapExceeded(
+            f"{scan} scan needs {total} preimages (> budget {budget})",
+            partial=total,
+        )
+    images = set()
+    for x in _enumerate_patterns(rule.space, extended, rule.alphabet):
+        images.add(tuple(
+            rule.evaluate(tuple(x[rule.space.mul(g, s)] for s in rule.memory))
+            for g in window
+        ))
+    return images
+
+
 def goe_search(rule: LocalRule, window: Iterable,
                budget: int = 1 << 20) -> Optional[CellPattern]:
     """First pattern on the window outside the automaton's image, or None.
@@ -283,24 +299,7 @@ def goe_search(rule: LocalRule, window: Iterable,
     infinite group).
     """
     window = sorted(set(window), key=str)
-    extended = set(window)
-    for g in window:
-        for s in rule.memory:
-            extended.add(rule.space.mul(g, s))
-    extended = sorted(extended, key=str)
-    total = len(rule.alphabet) ** len(extended)
-    if total > budget:
-        raise CapExceeded(
-            f"GOE scan needs {total} preimages (> budget {budget})",
-            partial=total,
-        )
-    reachable = set()
-    for x in _enumerate_patterns(rule.space, extended, rule.alphabet):
-        image = tuple(
-            rule.evaluate(tuple(x[rule.space.mul(g, s)] for s in rule.memory))
-            for g in window
-        )
-        reachable.add(image)
+    reachable = _images_on(rule, window, budget, "GOE")
     for combo in product(rule.alphabet, repeat=len(window)):
         if combo not in reachable:
             return CellPattern(rule.space, dict(zip(window, combo)))
@@ -547,24 +546,7 @@ def entropy_estimate(rule: LocalRule, boxes: Sequence[Iterable],
     out = []
     for box in boxes:
         window = sorted(set(box), key=str)
-        extended = set(window)
-        for g in window:
-            for s in rule.memory:
-                extended.add(rule.space.mul(g, s))
-        extended = sorted(extended, key=str)
-        total = len(rule.alphabet) ** len(extended)
-        if total > budget:
-            raise CapExceeded(
-                f"entropy scan needs {total} preimages (> budget {budget})",
-                partial=total,
-            )
-        restrictions = set()
-        for x in _enumerate_patterns(rule.space, extended, rule.alphabet):
-            restrictions.add(tuple(
-                rule.evaluate(tuple(x[rule.space.mul(g, s)]
-                                    for s in rule.memory))
-                for g in window
-            ))
+        restrictions = _images_on(rule, window, budget, "entropy")
         out.append(math.log(len(restrictions)) / len(window))
     return out
 

@@ -216,7 +216,7 @@ def _cmd_ca(args) -> str:
 def _cmd_paradox(args) -> str:
     from . import paradox
     if args.action == "verify":
-        return paradox.report_json(paradox.paradox_verify(args.radius))
+        return _json(paradox.paradox_verify(args.radius))
     if args.action == "map":
         word = paradox.F2.parse(args.word)
         image = paradox.doubling_map(word)

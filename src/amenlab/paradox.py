@@ -298,7 +298,3 @@ def doubling_injection_pair():
         return None
 
     return alpha, alpha_inverse, beta, beta_inverse
-
-
-def report_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, default=str)

@@ -1,9 +1,9 @@
-"""Float spectral estimates of random walks: Dirichlet-truncated operator
-estimates and Kesten inequality reports.
+"""Float spectral estimates of random walks: the top eigenvalue of the walk
+operator truncated to a ball, a lower bound for the spectral radius rho.
 
 This is the one module that loads numpy, for its eigensolvers.  The exact
 walks (measures, convolution powers, return probabilities and inverted
-orbits) live in the numpy-free ``walks`` and are re-exported here.
+orbits) live in the numpy-free ``walks``.
 
 Walks on the free-group Cayley graph get a radial fast path: the Perron
 eigenvector of the truncated uniform-walk operator is radial.  The generic
@@ -19,12 +19,9 @@ import numpy as np
 
 from .errors import CapExceeded, ValidationError
 from .orbits import MarkedGSet, SchreierGraph, build_ball
-# the exact walks, also reachable under their names in this module
-from .walks import (Distribution, StepMeasure, _free_rank,  # noqa: F401
-                    _is_uniform_srw, expected_inverted_orbit_size,
-                    inverted_orbit_stats, lazy_measure, measure_power,
-                    return_probability, return_sequence, rho_lower_bound,
-                    srw_measure)
+from .walks import StepMeasure, _free_rank, _is_uniform_srw, srw_measure
+# benchmarks/tracer.py and benchmarks/workloads.py look it up here
+from .walks import return_sequence  # noqa: F401
 
 _POWER_ITERATION_CAP = 200_000
 
@@ -133,84 +130,3 @@ def truncated_rho(target: Union[SchreierGraph, MarkedGSet],
         graph = target
     vertices, rows = _transition_rows(graph, mu)
     return _top_eigenvalue(rows, len(vertices), tol)
-
-
-def operator_identity_residual(graph: SchreierGraph, mu: StepMeasure) -> float:
-    """Max entrywise residual of T = 1 - d*d on the interior rows.
-
-    d maps vertex functions to edge functions, (df)(x,y) = f(x) - f(y);
-    (d*g)(x) = sum_y p1(x,y) g(x,y).  Both are assembled explicitly.
-    """
-    vertices, rows = _transition_rows(graph, mu)
-    interior = [i for i, v in enumerate(vertices) if graph.is_interior(v)]
-    size = len(vertices)
-    transition = np.zeros((size, size))
-    for i, row in enumerate(rows):
-        for j, w in row:
-            transition[i, j] += w
-    # aggregate p1(x,y) per ordered pair (several support words may coincide)
-    edges = sorted({(i, j) for i in interior for j, _w in rows[i]})
-    d_matrix = np.zeros((len(edges), size))
-    d_star = np.zeros((size, len(edges)))
-    for e, (i, j) in enumerate(edges):
-        d_matrix[e, i] += 1.0
-        d_matrix[e, j] -= 1.0
-        d_star[i, e] = transition[i, j]
-    laplacian = d_star @ d_matrix
-    residual = 0.0
-    for i in interior:
-        for j in range(size):
-            expected = (1.0 if i == j else 0.0) - laplacian[i, j]
-            residual = max(residual, abs(transition[i, j] - expected))
-    return residual
-
-
-def kesten_check(iota_upper: Optional[float] = None,
-                 rho_lower: Optional[float] = None,
-                 exact_pair: Optional[Tuple[float, float]] = None) -> dict:
-    """Report on the inequalities iota^2 + rho^2 <= 1 <= iota + rho."""
-    report: dict = {"checks": []}
-    if exact_pair is not None:
-        iota, rho = exact_pair
-        squares = iota * iota + rho * rho
-        report["checks"].append({
-            "name": "squares",
-            "value": squares,
-            "holds": squares <= 1.0 + 1e-12,
-            "tight": abs(squares - 1.0) <= 1e-12,
-        })
-        report["checks"].append({
-            "name": "sum",
-            "value": iota + rho,
-            "holds": iota + rho >= 1.0 - 1e-12,
-        })
-        if rho_lower is not None:
-            report["checks"].append({
-                "name": "rho_lower_sound",
-                "value": rho_lower,
-                "holds": rho_lower <= rho + 1e-9,
-            })
-        if iota_upper is not None:
-            report["checks"].append({
-                "name": "iota_upper_sound",
-                "value": iota_upper,
-                "holds": iota_upper >= iota - 1e-9,
-            })
-    elif iota_upper is not None and rho_lower is not None:
-        # only the sound direction is testable from an upper/lower pair
-        report["checks"].append({
-            "name": "bounds_compatible",
-            "value": rho_lower ** 2,
-            "holds": rho_lower ** 2 <= 1.0 + 1e-12,
-        })
-        report["checks"].append({
-            "name": "folner_side",
-            "value": iota_upper,
-            "holds": iota_upper >= 0.0,
-        })
-    else:
-        raise ValidationError("kesten_check needs an exact pair or both bounds")
-    report["passed"] = all(c["holds"] for c in report["checks"])
-    return report
-
-

@@ -1,9 +1,10 @@
 """The Fibonacci substitution subshift and a small toolkit for
 topological-full-group elements presented as cylinder-wise shifts.
 
-A point of the subshift is only ever handled through a finite window, so
-every verdict here is a certificate at an explicit depth or, where possible,
-an exact combinatorial certificate (the inverse-table test for bijectivity).
+A point of the subshift is only ever handled through a finite window, and
+``shift_for`` refuses a window too short to resolve its cylinder.
+Bijectivity is decided exactly, by a combinatorial certificate: the
+inverse-table test.
 
 A full-group element is a finite table of rows (left, word, shift): on the
 cylinder of points x with x[left .. left+len(word)) = word, the element acts
@@ -110,23 +111,15 @@ class FullGroupElement:
             if abs(shift) > _SHIFT_CAP:
                 raise ValidationError(f"shift exceeds the cap {_SHIFT_CAP}")
         self.rows = tuple(sorted(rows, key=lambda r: (r[0], r[1], r[2])))
-        self.language = language or fib_language(
-            max(self._window_width(), 1)
-        )
+        lo = min(left for left, _w, _s in self.rows)
+        width = max(left + len(w) for left, w, _s in self.rows) - lo
+        self.language = language or fib_language(max(width, 1))
         for _left, word, _shift in self.rows:
             if word and not self.language.admissible(word):
                 raise ValidationError(f"inadmissible cylinder word {word!r}")
-        self._verify_partition()
+        self._verify_partition(lo, width)
 
-    def _window_width(self) -> int:
-        lo = min(left for left, _w, _s in self.rows)
-        hi = max(left + len(w) for left, w, _s in self.rows)
-        return hi - lo
-
-    def _verify_partition(self):
-        lo = min(left for left, _w, _s in self.rows)
-        hi = max(left + len(w) for left, w, _s in self.rows)
-        width = hi - lo
+    def _verify_partition(self, lo: int, width: int):
         if width == 0:
             # single empty-word row: the whole subshift, a valid partition
             return
@@ -186,24 +179,6 @@ class FullGroupElement:
         return f"FullGroupElement({list(self.rows)})"
 
 
-def tf_apply(element: FullGroupElement, window: str,
-             origin: int) -> Tuple[str, int]:
-    """Apply the element to a point known on a finite window.
-
-    The window is a string of letters at consecutive positions, with
-    ``origin`` the index holding position 0.  The letters do not move; only
-    the origin marker does.  Raises when the window cannot resolve the
-    cylinder or would place the new origin outside the window.
-    """
-    if not 0 <= origin < len(window):
-        raise ValidationError("origin outside the window")
-    shift = element.shift_for(window, origin)
-    new_origin = origin + shift
-    if not 0 <= new_origin < len(window):
-        raise ValidationError("window too short for the shifted origin")
-    return window, new_origin
-
-
 def tf_compose(first: FullGroupElement,
                second: FullGroupElement) -> FullGroupElement:
     """The element acting as ``first`` then ``second``, by cylinder
@@ -231,15 +206,7 @@ def tf_compose(first: FullGroupElement,
                 if all(window[c - lo: c - lo + len(w)] == w
                        for c, w in constraints):
                     rows.append((lo, window, shift1 + shift2))
-    merged = _merge_redundant(rows)
-    return FullGroupElement(merged)
-
-
-def _merge_redundant(rows: List[Tuple[int, str, int]]):
-    """Drop rows that duplicate one another exactly (refinement can emit the
-    same constrained window twice only if tables overlapped, which the
-    partition check would reject; this only canonicalizes ordering)."""
-    return sorted(set(rows))
+    return FullGroupElement(rows)
 
 
 def tf_invert_check(element: FullGroupElement) -> Tuple[Optional[FullGroupElement], bool]:
@@ -255,37 +222,6 @@ def tf_invert_check(element: FullGroupElement) -> Tuple[Optional[FullGroupElemen
     except ValidationError:
         return None, False
     return inverse, True
-
-
-def tf_compose_check(first: FullGroupElement, second: FullGroupElement,
-                     depth: int = 6) -> Tuple[FullGroupElement, bool]:
-    """Compose and certify bijectivity of the result.
-
-    The flag combines the exact inverse-table certificate with a depth-d
-    spot check: composing with the certified inverse must fix the origin on
-    every admissible window of the certification depth.
-    """
-    composed = tf_compose(first, second)
-    inverse, ok = tf_invert_check(composed)
-    if not ok:
-        return composed, False
-    round_trip = tf_compose(composed, inverse)
-    if not round_trip.is_identity():
-        return composed, False
-    width = max(depth, composed._window_width() + 2 * _SHIFT_CAP + 1)
-    if width > _MAX_LEN:
-        raise CapExceeded("certification depth exceeds the language cap")
-    language = fib_language(width)
-    for window in language.words(width):
-        origin = width // 2
-        try:
-            _w, moved = tf_apply(composed, window, origin)
-            _w, back = tf_apply(inverse, window, moved)
-        except ValidationError:
-            continue
-        if back != origin:
-            return composed, False
-    return composed, True
 
 
 def shift_element(amount: int = 1) -> FullGroupElement:

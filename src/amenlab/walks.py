@@ -1,9 +1,11 @@
 """Exact random walks driven by a finitely supported measure on the acting
-group.
+group, without numpy.
 
-Exact convolution powers, return probabilities, spectral-radius lower bounds
-p_{2n}(x,x)^{1/2n}, and inverted-orbit statistics, all in exact integers and
-``Fraction``s, without numpy.
+Convolution powers (the n-step law as a dict of ``Fraction`` masses), return
+probabilities and the expected inverted-orbit size are exact.  Only
+``rho_lower_bound`` (an n-th root of an exact value), the float form of
+``return_probability`` and the Monte Carlo ``inverted_orbit_stats`` return
+floats.
 
 Exact walks run the integer DP ``orbits.walk_counts`` with mu scaled by its
 common denominator D, dividing by D^m once per step count m.  With steps of
@@ -20,7 +22,6 @@ estimates of the truncated walk operator live in ``randwalk``.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -94,48 +95,23 @@ def lazy_measure(mu: StepMeasure, hold: Fraction = Fraction(1, 2)) -> StepMeasur
     return StepMeasure(mu.gset, support)
 
 
-_PRECISIONS = ("exact", "float")
-
-
-class Distribution:
-    """Finitely supported probability on vertex keys: the law weight / scale
-    of nonnegative integer weights."""
-
-    def __init__(self, weights: Dict, scale: int, precision: str):
-        if precision not in _PRECISIONS:
-            raise ValidationError("precision must be 'exact' or 'float'")
-        # checked exactly, on the integers, before any rounding: a float
-        # total drifts from 1 by a rounding error that grows with the number
-        # of atoms
-        if sum(weights.values()) != scale:
-            raise ValidationError("distribution must sum to 1")
-        convert = Fraction if precision == "exact" else operator.truediv
-        self.entries = {key: convert(w, scale) for key, w in weights.items()}
-        self.precision = precision
-
-    def mass(self, key):
-        zero = Fraction(0) if self.precision == "exact" else 0.0
-        return self.entries.get(key, zero)
-
-    def __len__(self):
-        return len(self.entries)
-
-
-def measure_power(gset: MarkedGSet, mu: StepMeasure, n: int,
-                  precision: str = "exact") -> Distribution:
-    """Exact law of the walk started at the basepoint after n steps."""
+def measure_power(gset: MarkedGSet, mu: StepMeasure,
+                  n: int) -> Dict[object, Fraction]:
+    """Exact law of the walk started at the basepoint after n steps, as
+    {vertex key: mass} over the keys of positive mass."""
     if n < 0:
         raise ValidationError("step count must be >= 0")
-    if precision == "exact" and n > _EXACT_STEP_CAP:
+    if n > _EXACT_STEP_CAP:
         raise CapExceeded(
-            f"exact convolution is capped at {_EXACT_STEP_CAP} steps; "
-            "use precision='float' or the radial fast path"
-        )
+            f"exact convolution is capped at {_EXACT_STEP_CAP} steps")
     denominator, graph, counts = _scaled_walk(gset, mu, n, closed=False)
     *_, weights = counts
-    return Distribution(
-        {graph.keys[i]: weight for i, weight in enumerate(weights) if weight},
-        denominator ** n, precision)
+    scale = denominator ** n
+    # the ball of radius nL holds every n-step path, so no mass is lost
+    if sum(weights) != scale:
+        raise ValidationError("distribution must sum to 1")
+    return {graph.keys[i]: Fraction(weight, scale)
+            for i, weight in enumerate(weights) if weight}
 
 
 def _scaled_walk(gset: MarkedGSet, mu: StepMeasure, n: int, closed: bool):
@@ -188,7 +164,10 @@ def return_sequence(gset: MarkedGSet, mu: StepMeasure, n: int) -> List[Fraction]
 
 def return_probability(gset: MarkedGSet, mu: StepMeasure, n: int,
                        precision: str = "exact"):
-    """p_n(x,x) at the basepoint; exact in rational mode."""
+    """p_n(x,x) at the basepoint: a Fraction, or its float when precision
+    is 'float'."""
+    if precision not in ("exact", "float"):
+        raise ValidationError("precision must be 'exact' or 'float'")
     value = return_sequence(gset, mu, n)[n]
     return value if precision == "exact" else float(value)
 

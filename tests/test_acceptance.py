@@ -25,11 +25,11 @@ from amenlab.isoperimetry import (csc_check, fol_exact, folner_ratios,
                                   growth_series)
 from amenlab.orbits import boundary_edges, build_ball, make_gset
 from amenlab.paradox import doubling_map, hall_matching, paradox_verify
-from amenlab.randwalk import (kesten_check, return_sequence, rho_lower_bound,
-                              srw_measure, truncated_rho)
+from amenlab.randwalk import truncated_rho
 from amenlab.selfsim import (ETA, element_order, equals_selfsim, eta_norm,
                              grigorchuk, is_identity, wreath_decompose,
                              _LETTER_NORMS)
+from amenlab.walks import return_sequence, rho_lower_bound, srw_measure
 
 DATA = Path(__file__).parent / "data"
 RHO_F2 = math.sqrt(3) / 2  # sqrt(2d-1)/d at d = 2
@@ -58,12 +58,16 @@ class TestFreeGroupSpectralRadius:
 
 class TestKestenEquality:
     def test_exact_pair(self):
-        report = kesten_check(exact_pair=(0.5, RHO_F2))
-        assert report["passed"]
-        squares = next(c for c in report["checks"] if c["name"] == "squares")
-        assert abs(squares["value"] - 1.0) <= 1e-12
-        total = next(c for c in report["checks"] if c["name"] == "sum")
-        assert total["value"] >= 1.0
+        # the uniform walk on F2: iota = 2/4, from |boundary F| = 2#F + 2 on
+        # the 4-regular tree (TestTreeBoundaryFormula), and rho^2 = 3/4
+        iota, rho_squared = Fraction(1, 2), Fraction(3, 4)
+        assert iota ** 2 + rho_squared == 1
+        assert rho_squared >= (1 - iota) ** 2  # iota + rho >= 1
+        # p_2n(x,x) <= rho^2n, exactly, for every n <= 50
+        gset = make_gset("cayley:free:2")
+        seq = return_sequence(gset, srw_measure(gset), 100)
+        for n in range(51):
+            assert seq[2 * n] <= rho_squared ** n
 
 
 class TestTreeBoundaryFormula:

@@ -200,6 +200,32 @@ class TestEntropy:
         assert values[0] < math.log(2)
 
 
+@pytest.mark.parametrize("make_rule", [and_rule_z, xor_rule_z])
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_goe_and_entropy_read_one_image_set(make_rule, radius):
+    """Both scans against the image set of every word on the interval the
+    memory reaches, in the windows' str order."""
+    rule = make_rule()
+    window = sorted(rule.space.ball(radius), key=str)
+    offsets = [step for (step,) in rule.memory]
+    lo = -radius + min(offsets)
+    images = {
+        tuple(rule.evaluate(tuple(word[g + s - lo] for s in offsets))
+              for (g,) in window)
+        for word in product(rule.alphabet,
+                            repeat=2 * radius + max(offsets) - min(offsets) + 1)
+    }
+    missing = [combo for combo in product(rule.alphabet, repeat=len(window))
+               if combo not in images]
+    found = goe_search(rule, window)
+    if missing:
+        assert tuple(found[g] for g in window) == missing[0]
+    else:
+        assert found is None
+    assert entropy_estimate(rule, [window]) == [
+        math.log(len(images)) / len(window)]
+
+
 class TestOverlaps:
     def test_counts(self):
         for n in range(2, 6):

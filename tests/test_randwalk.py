@@ -2,16 +2,17 @@
 truncation, and inverted-orbit statistics."""
 
 import math
+import random
 import time
 from fractions import Fraction
 
 import pytest
 
+from amenlab import walks
 from amenlab.errors import CapExceeded, ValidationError
 from amenlab.orbits import build_ball, make_gset
-from amenlab.randwalk import (kesten_check, operator_identity_residual,
-                              truncated_rho)
-from amenlab.walks import (Distribution, StepMeasure, expected_inverted_orbit_size,
+from amenlab.randwalk import truncated_rho
+from amenlab.walks import (StepMeasure, expected_inverted_orbit_size,
                            inverted_orbit_stats, lazy_measure, measure_power,
                            return_probability, return_sequence,
                            rho_lower_bound, srw_measure,
@@ -67,8 +68,8 @@ class TestReturnProbabilities:
         mu = srw_measure(gset)
         radial = _radial_return_sequence(2, 10)
         for n in range(11):
-            dist = measure_power(gset, mu, n)
-            assert dist.mass(gset.base_key) == radial[n]
+            law = measure_power(gset, mu, n)
+            assert law.get(gset.base_key, 0) == radial[n]
 
     def test_exact_step_cap(self):
         gset = make_gset("cayley:z:1")
@@ -87,34 +88,32 @@ class TestReturnProbabilities:
                                    precision="float")
         assert abs(value - 6.0 / 16.0) < 1e-12
 
-    def test_float_law_rounds_the_exact_law(self):
-        gset = make_gset("cayley:free:2")
-        mu = srw_measure(gset)
-        exact = measure_power(gset, mu, 6)
-        rounded = measure_power(gset, mu, 6, "float")
-        assert rounded.precision == "float"
-        assert rounded.entries == {key: float(mass)
-                                   for key, mass in exact.entries.items()}
-
-    def test_float_law_with_many_atoms_is_accepted(self):
-        # 97,656 atoms summing to exactly 1; their float masses sum about
-        # 3.3e-12 away from 1, so only the exact total can be checked
+    def test_law_with_many_atoms_sums_to_exactly_one(self):
+        # 97,656 atoms; their float masses would sum about 3.3e-12 away
+        # from 1
         gset = make_gset("cayley:free:3")
-        law = measure_power(gset, srw_measure(gset), 7, "float")
+        law = measure_power(gset, srw_measure(gset), 7)
         assert len(law) == 97_656
-        assert abs(math.fsum(law.entries.values()) - 1.0) < 1e-15
+        assert sum(law.values()) == 1
 
-    def test_law_total_is_checked_on_the_integer_weights(self):
-        assert Distribution({"x": 1, "y": 2}, 3, "float").entries == {
-            "x": 1 / 3, "y": 2 / 3}
-        for precision in ("exact", "float"):
-            with pytest.raises(ValidationError):
-                Distribution({"x": 1, "y": 1}, 3, precision)
+    def test_law_total_is_checked_on_the_integer_weights(self, monkeypatch):
+        exact_counts = walks.walk_counts
+
+        def one_unit_too_many(size, moves, n):
+            *earlier, last = exact_counts(size, moves, n)
+            last[0] += 1
+            return [*earlier, last]
+
+        monkeypatch.setattr(walks, "walk_counts", one_unit_too_many)
+        gset = make_gset("cayley:z:1")
+        with pytest.raises(ValidationError):
+            measure_power(gset, srw_measure(gset), 2)
 
     def test_unknown_precision_rejected(self):
         gset = make_gset("cayley:z:1")
         with pytest.raises(ValidationError):
-            measure_power(gset, srw_measure(gset), 2, "decimal")
+            return_probability(gset, srw_measure(gset), 2,
+                               precision="decimal")
 
 
 class TestSpectralRadius:
@@ -169,27 +168,29 @@ class TestSpectralRadius:
 
 class TestOperatorIdentity:
     def test_walk_operator_is_one_minus_laplacian(self):
-        for spec in ("cayley:z:1", "cayley:free:2"):
+        # on every interior row, sum_y p(x,y) (f(x) - f(y)) = f(x) - (Pf)(x),
+        # checked exactly on the ball's integer weights D * p(x,y)
+        rng = random.Random(11)
+        for spec, lazy in (("cayley:z:1", False), ("cayley:z:1", True),
+                           ("cayley:free:2", False)):
             gset = make_gset(spec)
+            mu = srw_measure(gset)
+            if lazy:  # the empty word puts a loop on every vertex
+                mu = lazy_measure(mu)
+            scale = math.lcm(*(w.denominator for _, w in mu.items()))
             graph = build_ball(gset, 3)
-            residual = operator_identity_residual(graph, srw_measure(gset))
-            assert residual < 1e-12
-
-
-class TestKesten:
-    def test_exact_pair(self):
-        report = kesten_check(exact_pair=(0.5, math.sqrt(3) / 2))
-        assert report["passed"]
-        squares = next(c for c in report["checks"] if c["name"] == "squares")
-        assert squares["tight"]
-
-    def test_bounds_only_mode(self):
-        report = kesten_check(iota_upper=0.6, rho_lower=0.8)
-        assert report["passed"]
-
-    def test_needs_input(self):
-        with pytest.raises(ValidationError):
-            kesten_check()
+            rows = [[] for _ in graph.keys]
+            for word, weight in mu.items():
+                for x, y in zip(*graph.word_edges(word)):
+                    rows[x].append((y, int(weight * scale)))
+            f = [rng.randint(-100, 100) for _ in graph.keys]
+            interior = [graph.ids[v] for v in graph.vertices
+                        if graph.is_interior(v)]
+            assert len(interior) == len(build_ball(gset, 2).keys)
+            for x in interior:
+                laplacian = sum(w * (f[x] - f[y]) for y, w in rows[x])
+                walk = sum(w * f[y] for y, w in rows[x])
+                assert laplacian == scale * f[x] - walk
 
 
 class TestInvertedOrbits:

@@ -2,14 +2,14 @@
 piecewise-shift toolkit built on it."""
 
 import random
+from itertools import product
 
 import pytest
 
 from amenlab.errors import CapExceeded, ValidationError
 from amenlab.topfull import (FullGroupElement, fib_language, identity_element,
-                             search_nontrivial, shift_element, tf_apply,
-                             tf_compose, tf_compose_check, tf_invert_check,
-                             _fib_prefix)
+                             search_nontrivial, shift_element, tf_compose,
+                             tf_invert_check, _fib_prefix)
 
 
 class TestLanguage:
@@ -66,18 +66,31 @@ class TestElements:
             FullGroupElement([(0, "", 9)])
 
     def test_apply_moves_the_origin(self):
-        element = shift_element(1)
-        window, origin = tf_apply(element, "01001", 2)
-        assert (window, origin) == ("01001", 3)
+        assert shift_element(1).shift_for("01001", 2) == 1
 
     def test_apply_needs_a_resolving_window(self):
         element = FullGroupElement([(0, "00", 0), (0, "01", 1), (0, "10", -1)])
         with pytest.raises(ValidationError):
-            tf_apply(element, "0", 0)
+            element.shift_for("0", 0)
 
     def test_json_round_trip(self):
         element = FullGroupElement([(0, "00", 0), (0, "01", 1), (0, "10", -1)])
         assert '"cylinders"' in element.to_json()
+
+
+def _bijective_tables():
+    """The 31 bijective elements whose cylinders are the admissible words of
+    one length 1..3 at the origin, with shifts in -2..2."""
+    out = []
+    for length in (1, 2, 3):
+        words = fib_language(length).words(length)
+        for shifts in product(range(-2, 3), repeat=len(words)):
+            element = FullGroupElement(list(zip([0] * len(words), words,
+                                                shifts)))
+            if tf_invert_check(element)[1]:
+                out.append(element)
+    assert len(out) == 31
+    return out
 
 
 class TestComposition:
@@ -97,9 +110,24 @@ class TestComposition:
         assert round_trip.is_identity()
 
     def test_compose_check(self):
-        element = FullGroupElement([(0, "00", 0), (0, "01", 1), (0, "10", -1)])
-        composed, ok = tf_compose_check(element, shift_element(1))
-        assert ok
+        # the inverse that tf_invert_check certifies for each composite
+        # undoes it, as a table and pointwise; a point is seen through 24
+        # letters with the origin at index 12, enough to resolve every
+        # cylinder of these composites and of their inverses, so shift_for
+        # never raises
+        elements = _bijective_tables()
+        language = fib_language(24)
+        origin = 12
+        for first, second in product(elements, repeat=2):
+            composed = tf_compose(first, second)
+            inverse, ok = tf_invert_check(composed)
+            assert ok
+            assert tf_compose(composed, inverse).is_identity()
+            for window in language.words(24):
+                moved = origin + first.shift_for(window, origin)
+                moved += second.shift_for(window, moved)
+                assert origin + composed.shift_for(window, origin) == moved
+                assert moved + inverse.shift_for(window, moved) == origin
 
     def test_associativity_on_samples(self):
         pieces = FullGroupElement([(0, "00", 0), (0, "01", 1), (0, "10", -1)])
@@ -117,13 +145,9 @@ class TestComposition:
         language = fib_language(9)
         for window in language.words(9):
             origin = 4
-            try:
-                _w, mid = tf_apply(pieces, window, origin)
-                _w, direct = tf_apply(composed, window, origin)
-            except ValidationError:
-                continue
-            _w, chained = tf_apply(shift_element(1), window, mid)
-            assert direct == chained
+            mid = origin + pieces.shift_for(window, origin)
+            direct = origin + composed.shift_for(window, origin)
+            assert direct == mid + shift_element(1).shift_for(window, mid)
 
 
 class TestSearch:

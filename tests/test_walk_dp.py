@@ -97,7 +97,7 @@ def test_return_sequence_and_measure_power_match_the_convolution(walk):
     # the whole support after m steps; m * (longest word) <= 8
     longest = max(len(word) for word, _ in mu.items())
     m = n if longest <= 1 else min(n, 8 // longest)
-    assert measure_power(gset, mu, m).entries == powers[m]
+    assert measure_power(gset, mu, m) == powers[m]
 
 
 @settings(max_examples=40, deadline=None)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from itertools import combinations, permutations, product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -173,20 +172,15 @@ class CellPattern:
             {self.space.mul(by, s): v for s, v in self.values.items()},
         )
 
-    def padded(self, rule: LocalRule, rings: int = 1) -> "CellPattern":
+    def padded(self, rule: LocalRule) -> "CellPattern":
         """Grow the window by memory translates, filling with the quiescent
         state, so that the old window becomes interior."""
         if rule.quiescent is None:
             raise ValidationError("padding needs a quiescent state")
         values = dict(self.values)
-        for _ in range(rings):
-            extra = {}
-            for site in values:
-                for step in rule.memory:
-                    t = self.space.mul(site, step)
-                    if t not in values:
-                        extra[t] = rule.quiescent
-            values.update(extra)
+        for site in self.values:
+            for step in rule.memory:
+                values.setdefault(self.space.mul(site, step), rule.quiescent)
         return CellPattern(self.space, values)
 
     def to_json(self) -> str:
@@ -365,8 +359,8 @@ class GroupRingMatrix:
     """n x n matrix over F_p[G]; entries are dicts {group element: coeff}."""
 
     def __init__(self, space, n: int, p: int, entries):
-        if p < 2:
-            raise ValidationError("field order must be a prime >= 2")
+        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+            raise ValidationError("field order must be a prime")
         self.space = space
         self.n = n
         self.p = p
@@ -493,16 +487,16 @@ def linca_kernel_basis(matrix: GroupRingMatrix,
         {space.mul(g, u) for g in ball for u in support}, key=str
     )
     target_index = {t: i for i, t in enumerate(targets)}
-    # unknowns: x_i(g) for g in ball, i < n; equations: (xM)_j(h) = 0
+    # unknowns: x_i(g) for g in ball, i < n; equations: (xM)_j(h) = 0, so
+    # the column of x_i(g) is e_{g,i} M
     columns = []
     for g in ball:
         for i in range(matrix.n):
+            unit = tuple(int(j == i) for j in range(matrix.n))
             column = [0] * (len(targets) * matrix.n)
-            for j in range(matrix.n):
-                for u, coeff in matrix.entries[i][j].items():
-                    h = space.mul(g, u)
-                    column[target_index[h] * matrix.n + j] = \
-                        (column[target_index[h] * matrix.n + j] + coeff) % p
+            for h, vector in right_multiply(matrix, {g: unit}).items():
+                column[target_index[h] * matrix.n:
+                       (target_index[h] + 1) * matrix.n] = vector
             columns.append(column)
     # kernel of the transpose system: solve A x = 0 where A columns as above
     height = len(targets) * matrix.n
@@ -637,25 +631,3 @@ class OverlapsFamily:
 
     def __repr__(self):
         return f"OverlapsFamily(n={self.n}, #Y={len(self.y)})"
-
-
-# -- duality spot check ----------------------------------------------------------
-
-def adjoint_duality_check(matrix: GroupRingMatrix, trials: int, seed: int,
-                          radius: int = 3) -> bool:
-    """<xM, y> == <x, yM*> for random finitely supported x, y."""
-    rng = random.Random(seed)
-    adjoint = linca_adjoint(matrix)
-    ball = matrix.space.ball(radius)
-    for _ in range(trials):
-        x = {site: tuple(rng.randrange(matrix.p) for _ in range(matrix.n))
-             for site in rng.sample(ball, k=min(4, len(ball)))}
-        y = {site: tuple(rng.randrange(matrix.p) for _ in range(matrix.n))
-             for site in rng.sample(ball, k=min(4, len(ball)))}
-        x = {s: v for s, v in x.items() if any(v)}
-        y = {s: v for s, v in y.items() if any(v)}
-        left = pairing(right_multiply(matrix, x), y, matrix.p)
-        right = pairing(x, right_multiply(adjoint, y), matrix.p)
-        if left != right:
-            return False
-    return True

@@ -2,7 +2,8 @@
 
 A word is a tuple of letters; a letter is a pair (generator index, sign) with
 sign +1 or -1.  The empty tuple is the identity.  Every family below has a
-complete normal form, so ``equals`` is decided by comparing canonical keys.
+complete normal form, the one canonical form of an element, so ``equals``
+compares normal forms.
 
 Registered families:
 
@@ -69,30 +70,6 @@ def tokenize(text: str, names: Sequence[str]) -> Word:
     return tuple(out)
 
 
-class LamplighterElement:
-    """A lamplighter group element: finite lamp support plus a position."""
-
-    __slots__ = ("lamp_support", "position")
-
-    def __init__(self, lamp_support: Iterable[int], position: int):
-        self.lamp_support = frozenset(lamp_support)
-        self.position = position
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LamplighterElement)
-            and self.lamp_support == other.lamp_support
-            and self.position == other.position
-        )
-
-    def __hash__(self):
-        return hash((self.lamp_support, self.position))
-
-    def __repr__(self):
-        lamps = sorted(self.lamp_support)
-        return f"LamplighterElement(lamps={lamps}, position={self.position})"
-
-
 class MarkedGroup:
     """A finite generating set plus normal-form and equality oracles.
 
@@ -157,11 +134,6 @@ class MarkedGroup:
             if sign not in (1, -1):
                 raise ValidationError(f"bad letter sign {sign}")
 
-    def generator(self, index: int, sign: int = 1) -> Word:
-        if not 0 <= index < self.rank:
-            raise ValidationError(f"unknown generator index {index}")
-        return ((index, sign),)
-
     def parse(self, text: str) -> Word:
         """Normal form of a word written as for ``tokenize``."""
         return self.normal_form(tokenize(text, self.names))
@@ -198,41 +170,27 @@ class MarkedGroup:
                 out.extend((gen, sign) for _ in range(abs(e)))
             return tuple(out)
         if self.family == "lamplighter":
-            elt = self.lamplighter_element(word)
-            return self._lamplighter_word(elt)
+            # evaluate left to right, then light the lamps in increasing
+            # order and walk to the final position
+            lamps: set[int] = set()
+            pos = 0
+            for gen, sign in word:
+                if gen == 0:  # a: toggle the lamp at the current position
+                    lamps ^= {pos}
+                else:  # t: move
+                    pos += sign
+            out = []
+            here = 0
+            for target in sorted(lamps) + [pos]:
+                sign = 1 if target >= here else -1
+                out.extend([(1, sign)] * abs(target - here))
+                out.append((0, 1))
+                here = target
+            out.pop()  # the final position lights no lamp
+            return tuple(out)
         if self.family == "dihedral":  # both generators are involutions
             return _free_reduce(((gen, 1) for gen, _sign in word), (0, 1))
         raise ValidationError(f"no normal form for family {self.family}")
-
-    def lamplighter_element(self, word: Word) -> LamplighterElement:
-        """Evaluate a word left-to-right in (Z/2) wr Z."""
-        if self.family != "lamplighter":
-            raise ValidationError("lamplighter_element needs the lamplighter family")
-        self.validate(word)
-        lamps: set[int] = set()
-        pos = 0
-        for gen, sign in word:
-            if gen == 0:  # a: toggle the lamp at the current position
-                lamps.symmetric_difference_update({pos})
-            else:  # t: move
-                pos += sign
-        return LamplighterElement(lamps, pos)
-
-    def _lamplighter_word(self, elt: LamplighterElement) -> Word:
-        out: list[Letter] = []
-        here = 0
-
-        def travel(target: int):
-            nonlocal here
-            sign = 1 if target >= here else -1
-            out.extend((1, sign) for _ in range(abs(target - here)))
-            here = target
-
-        for lamp in sorted(elt.lamp_support):
-            travel(lamp)
-            out.append((0, 1))
-        travel(elt.position)
-        return tuple(out)
 
     # -- group operations ---------------------------------------------
 
@@ -265,16 +223,7 @@ class MarkedGroup:
         return result
 
     def equals(self, w1: Word, w2: Word) -> bool:
-        return self.key(w1) == self.key(w2)
-
-    def key(self, word: Word):
-        """Canonical hashable key of the element represented by ``word``."""
-        if self.family == "lamplighter":
-            elt = self.lamplighter_element(word)
-            return (tuple(sorted(elt.lamp_support)), elt.position)
-        if self.family in ("z", "zmod"):
-            return tuple(self._exponents(word))
-        return self.normal_form(word)
+        return self.normal_form(w1) == self.normal_form(w2)
 
     def _exponents(self, word: Word) -> list:
         """Exponent sum of each generator, reduced mod its order for zmod."""

@@ -38,10 +38,9 @@ _COMBO_BUDGET = 5_000_000
 class GrowthSeries:
     """Ball sizes v(0..n) of a marked group."""
 
-    def __init__(self, spec: str, values: List[int], generators: int):
+    def __init__(self, spec: str, values: List[int]):
         self.spec = spec
         self.values = list(values)
-        self.generators = generators
 
     def __iter__(self):
         return iter(self.values)
@@ -96,13 +95,12 @@ class FolnerReport:
 
 def growth_series(spec: str, n: int) -> GrowthSeries:
     """v(k) = #B(k) for 0 <= k <= n, via ball construction."""
-    gset = make_gset(spec)
-    graph = build_ball(gset, n)
+    graph = build_ball(make_gset(spec), n)
     counts = [0] * (n + 1)
     for depth in graph.depths.values():
         counts[depth] += 1
     values = list(itertools.accumulate(counts))
-    return GrowthSeries(spec, values, len(gset.edge_letters()))
+    return GrowthSeries(spec, values)
 
 
 def folner_ratios(gset: MarkedGSet, subset) -> Dict[str, Fraction]:
@@ -112,7 +110,7 @@ def folner_ratios(gset: MarkedGSet, subset) -> Dict[str, Fraction]:
     if not members:
         raise ValidationError("Folner candidate set must be nonempty")
     out: Dict[str, Fraction] = {}
-    for letter in gset.edge_letters():
+    for letter in gset.letters:
         escaped = sum(1 for v in members if gset.act(v, letter) not in members)
         out[gset.letter_name(letter)] = Fraction(escaped, len(members))
     return out

@@ -37,13 +37,17 @@ from .groups import Letter, MarkedGroup, Word, _free_reduce, _parse_rank
 
 class MarkedGSet:
     """A right action with canonical vertex keys; ``canonical`` maps any
-    key of the family to the canonical key of the same vertex."""
+    key of the family to the canonical key of the same vertex.
+
+    ``letters`` lists the edge letters, (gen, 1) and, unless gen is an
+    involution, (gen, -1).  The letter table built here is the one place
+    that validates a letter and knows the involution rule: an involution's
+    two signs share one column, so its (gen, -1) acts as (gen, 1)."""
 
     def __init__(self, spec: str, names: Tuple[str, ...],
                  involutions: Tuple[bool, ...], base_key,
                  act_letter: Callable, show_key: Callable,
                  group: Optional[MarkedGroup] = None,
-                 family: Optional[str] = None,
                  canonical: Optional[Callable] = None):
         self.spec = spec
         self.names = names
@@ -52,32 +56,35 @@ class MarkedGSet:
         self._act_letter = act_letter
         self.show_key = show_key
         self.group = group
-        self.family = family
         self.canonical = canonical or (lambda key: key)
+        letters: list[Letter] = []
+        self._columns: Dict[Letter, int] = {}
+        for gen, involution in enumerate(involutions):
+            for sign in (1, -1):
+                if sign == 1 or not involution:
+                    letters.append((gen, sign))
+                self._columns[(gen, sign)] = len(letters) - 1
+        self.letters = tuple(letters)
+
+    def column(self, letter: Letter) -> int:
+        """The index in ``letters`` of the edge ``letter`` walks along;
+        ValidationError for a letter that is not in the table."""
+        try:
+            return self._columns[letter]
+        except (KeyError, TypeError):
+            raise ValidationError(f"bad letter {letter!r}") from None
 
     def act(self, key, letter: Letter):
-        """The image of ``key`` under ``letter``.  The letter is validated;
-        ``key`` must be the base key or a value that ``act`` returned, since
-        the free and coset actions step from a canonical key."""
-        gen, sign = letter
-        if not 0 <= gen < len(self.names) or sign not in (1, -1):
-            raise ValidationError(f"bad letter {letter!r}")
-        if self.involutions[gen]:
-            sign = 1
-        return self._act_letter(key, (gen, sign))
+        """The image of ``key`` under ``letter``, read through the letter
+        table; ``key`` must be the base key or a value that ``act``
+        returned, since the free and coset actions step from a canonical
+        key."""
+        return self._act_letter(key, self.letters[self.column(letter)])
 
     def act_word(self, key, word: Word):
         for letter in word:
             key = self.act(key, letter)
         return key
-
-    def edge_letters(self) -> Tuple[Letter, ...]:
-        out: list[Letter] = []
-        for gen in range(len(self.names)):
-            out.append((gen, 1))
-            if not self.involutions[gen]:
-                out.append((gen, -1))
-        return tuple(out)
 
     def letter_name(self, letter: Letter) -> str:
         gen, sign = letter
@@ -101,7 +108,7 @@ class SchreierGraph:
         self.ids = ids
         self.keys = keys
         self.columns = columns
-        self.letters = gset.edge_letters()
+        self.letters = gset.letters
         self.base_key = gset.base_key
 
     @property
@@ -130,10 +137,8 @@ class SchreierGraph:
                 if column[i] >= 0]
 
     def column(self, letter: Letter) -> int:
-        """The column index of ``letter``; an involution has one column."""
-        gen, sign = letter
-        return self.letters.index((gen, 1 if self.gset.involutions[gen]
-                                   else sign))
+        """The column of ``letter``, from the gset's letter table."""
+        return self.gset.column(letter)
 
     def word_edges(self, word: Word) -> Tuple[List[int], List[int]]:
         """The ids i whose key acted on by ``word`` lies in the ball, and the
@@ -352,8 +357,7 @@ def _make_selfsim_cayley(spec: str, family: str) -> MarkedGSet:
     identity = canonicalizer.canon(elements[(0, 1)] * elements[(0, -1)])
     return MarkedGSet(
         spec, names, involutions, identity, canonicalizer.act,
-        show_key=lambda g: g.show(), family=family,
-        canonical=canonicalizer.canon,
+        show_key=lambda g: g.show(), canonical=canonicalizer.canon,
     )
 
 
@@ -385,7 +389,7 @@ def _make_orbit(spec: str) -> MarkedGSet:
 
     return MarkedGSet(
         spec, names, involutions, base, act,
-        show_key=lambda key: key, family=family,
+        show_key=lambda key: key,
     )
 
 
@@ -396,7 +400,7 @@ def build_ball(gset: MarkedGSet, radius: int,
     """The ball around the basepoint; one act per vertex and letter."""
     if radius < 0:
         raise ValidationError("radius must be >= 0")
-    letters = gset.edge_letters()
+    letters = gset.letters
     budget = vertex_budget()
     limit = budget if cap_vertices is None else min(cap_vertices, budget)
     keys = [gset.base_key]

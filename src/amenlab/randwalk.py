@@ -24,6 +24,7 @@ from .walks import StepMeasure, _free_rank, _is_uniform_srw, srw_measure
 from .walks import return_sequence  # noqa: F401
 
 _POWER_ITERATION_CAP = 200_000
+_POWER_ITERATION_TOL = 1e-10
 
 
 # -- Dirichlet truncation ----------------------------------------------------
@@ -47,7 +48,7 @@ def _transition_rows(graph: SchreierGraph, mu: StepMeasure):
 _DENSE_EIG_CAP = 1500
 
 
-def _top_eigenvalue(rows, size: int, tol: float) -> float:
+def _top_eigenvalue(rows, size: int) -> float:
     """Largest eigenvalue of the (symmetric) truncated transition matrix."""
     if size <= _DENSE_EIG_CAP:
         matrix = np.zeros((size, size))
@@ -55,10 +56,10 @@ def _top_eigenvalue(rows, size: int, tol: float) -> float:
             for j, w in row:
                 matrix[i, j] += w
         return float(np.linalg.eigvalsh(matrix)[-1])
-    return _power_iteration(rows, size, tol)
+    return _power_iteration(rows, size)
 
 
-def _power_iteration(rows, size: int, tol: float) -> float:
+def _power_iteration(rows, size: int) -> float:
     src = np.array([i for i, row in enumerate(rows) for _ in row],
                    dtype=np.int64)
     dst = np.array([j for row in rows for j, _ in row], dtype=np.int64)
@@ -80,7 +81,7 @@ def _power_iteration(rows, size: int, tol: float) -> float:
             return 0.0
         rayleigh = float(np.dot(vec, image))
         vec = image / norm
-        if abs(rayleigh - previous) < tol:
+        if abs(rayleigh - previous) < _POWER_ITERATION_TOL:
             return rayleigh - 1.0
         previous = rayleigh
     raise CapExceeded(
@@ -106,8 +107,7 @@ def _radial_truncated_rho(k: int, radius: int) -> float:
 
 def truncated_rho(target: Union[SchreierGraph, MarkedGSet],
                   mu: Optional[StepMeasure] = None,
-                  radius: Optional[int] = None,
-                  tol: float = 1e-10) -> float:
+                  radius: Optional[int] = None) -> float:
     """Top eigenvalue of the Dirichlet-truncated walk operator on a ball.
 
     Accepts a built SchreierGraph, or a MarkedGSet plus radius (in which case
@@ -129,4 +129,4 @@ def truncated_rho(target: Union[SchreierGraph, MarkedGSet],
     else:
         graph = target
     vertices, rows = _transition_rows(graph, mu)
-    return _top_eigenvalue(rows, len(vertices), tol)
+    return _top_eigenvalue(rows, len(vertices))

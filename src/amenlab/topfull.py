@@ -16,12 +16,13 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from itertools import product
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CapExceeded, ValidationError
 
 _MAX_LEN = 24
 _SHIFT_CAP = 4
+_SEARCH_SHIFTS = (-1, 0, 1)
 
 
 @lru_cache(maxsize=None)
@@ -99,8 +100,7 @@ def fib_language(max_len: int) -> SubshiftLanguage:
 class FullGroupElement:
     """A piecewise shift given by a finite partition into cylinders."""
 
-    def __init__(self, rows: Sequence[Tuple[int, str, int]],
-                 language: Optional[SubshiftLanguage] = None):
+    def __init__(self, rows: Sequence[Tuple[int, str, int]]):
         rows = [(int(left), str(word), int(shift)) for left, word, shift in rows]
         if not rows:
             raise ValidationError("element table must be nonempty")
@@ -113,7 +113,7 @@ class FullGroupElement:
         self.rows = tuple(sorted(rows, key=lambda r: (r[0], r[1], r[2])))
         lo = min(left for left, _w, _s in self.rows)
         width = max(left + len(w) for left, w, _s in self.rows) - lo
-        self.language = language or fib_language(max(width, 1))
+        self.language = fib_language(max(width, 1))
         for _left, word, _shift in self.rows:
             if word and not self.language.admissible(word):
                 raise ValidationError(f"inadmissible cylinder word {word!r}")
@@ -123,9 +123,7 @@ class FullGroupElement:
         if width == 0:
             # single empty-word row: the whole subshift, a valid partition
             return
-        language = self.language if width <= self.language.max_len \
-            else fib_language(width)
-        for window in language.words(width):
+        for window in self.language.words(width):
             matches = sum(
                 1 for left, word, _shift in self.rows
                 if window[left - lo: left - lo + len(word)] == word
@@ -232,8 +230,7 @@ def identity_element() -> FullGroupElement:
     return FullGroupElement([(0, "", 0)])
 
 
-def search_nontrivial(max_word_len: int = 3,
-                      shifts: Iterable[int] = (-1, 0, 1)) -> Optional[FullGroupElement]:
+def search_nontrivial(max_word_len: int = 3) -> Optional[FullGroupElement]:
     """Exhaustive search for a nontrivial bijective element whose cylinders
     are the admissible words of the given length anchored at the origin.
 
@@ -242,8 +239,7 @@ def search_nontrivial(max_word_len: int = 3,
     """
     language = fib_language(max_word_len)
     words = language.words(max_word_len)
-    shifts = tuple(shifts)
-    for combo in product(shifts, repeat=len(words)):
+    for combo in product(_SEARCH_SHIFTS, repeat=len(words)):
         if len(set(combo)) == 1:
             # constant tables are plain powers of the shift; skip them so the
             # search returns a genuinely piecewise element

@@ -57,14 +57,12 @@ class StepMeasure:
 
     @staticmethod
     def _normalize(gset: MarkedGSet, word: Word) -> Word:
-        # free reduction is sound for every family (it never changes the element)
-        flags = gset.involutions
-        for gen, sign in word:
-            if not 0 <= gen < len(flags) or sign not in (1, -1):
-                raise ValidationError(f"bad letter {(gen, sign)!r}")
+        # the gset's letter table validates each letter and gives an
+        # involution's sign +1; free reduction is sound for every family (it
+        # never changes the element)
         return _free_reduce(
-            ((gen, 1 if flags[gen] else sign) for gen, sign in word),
-            [gen for gen, flag in enumerate(flags) if flag],
+            (gset.letters[gset.column(letter)] for letter in word),
+            [gen for gen, flag in enumerate(gset.involutions) if flag],
         )
 
     @staticmethod
@@ -80,9 +78,8 @@ class StepMeasure:
 
 def srw_measure(gset: MarkedGSet) -> StepMeasure:
     """Uniform measure on the symmetrized generator letters."""
-    letters = gset.edge_letters()
-    weight = Fraction(1, len(letters))
-    return StepMeasure(gset, [((letter,), weight) for letter in letters])
+    weight = Fraction(1, len(gset.letters))
+    return StepMeasure(gset, [((letter,), weight) for letter in gset.letters])
 
 
 def lazy_measure(mu: StepMeasure, hold: Fraction = Fraction(1, 2)) -> StepMeasure:
@@ -127,8 +124,8 @@ def _scaled_walk(gset: MarkedGSet, mu: StepMeasure, n: int, closed: bool):
 
 
 def _is_uniform_srw(gset: MarkedGSet, mu: StepMeasure) -> bool:
-    letters = gset.edge_letters()
-    expected = {((letter,), Fraction(1, len(letters))) for letter in letters}
+    weight = Fraction(1, len(gset.letters))
+    expected = {((letter,), weight) for letter in gset.letters}
     return set(mu.items()) == expected
 
 

@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amenlab.cellauto import (CellPattern, InvolutionProductSpace, LocalRule,
-                              OverlapsFamily, ZdSpace, adjoint_duality_check,
-                              and_rule_z, ca_step, entropy_estimate,
-                              goe_search, life_rule, linca_adjoint,
-                              linca_kernel_basis, linca_rule, mep_search,
-                              muller_matrix, pattern_from_alive,
-                              right_multiply, xor_rule_z, GroupRingMatrix,
-                              _row_reduce_mod_p)
+                              OverlapsFamily, ZdSpace, and_rule_z, ca_step,
+                              entropy_estimate, goe_search, life_rule,
+                              linca_adjoint, linca_kernel_basis, linca_rule,
+                              mep_search, muller_matrix, pairing,
+                              pattern_from_alive, right_multiply, xor_rule_z,
+                              GroupRingMatrix, _row_reduce_mod_p)
 from amenlab.errors import CapExceeded, ValidationError
 
 
@@ -113,7 +112,27 @@ class TestLinearRules:
         assert linca_adjoint(linca_adjoint(matrix)) == matrix
 
     def test_adjoint_duality(self):
-        assert adjoint_duality_check(muller_matrix(), trials=40, seed=9)
+        # <eM, f> == <e, fM*> for all unit configurations e, f on B(2),
+        # hence, by bilinearity, for all x, y supported in B(2)
+        matrix = muller_matrix()
+        adjoint = linca_adjoint(matrix)
+        units = [{g: tuple(int(j == i) for j in range(matrix.n))}
+                 for g in matrix.space.ball(2) for i in range(matrix.n)]
+        for e in units:
+            image = right_multiply(matrix, e)
+            for f in units:
+                assert pairing(image, f, matrix.p) == \
+                    pairing(e, right_multiply(adjoint, f), matrix.p)
+
+    def test_field_order_must_be_prime(self):
+        # over Z/4, x = 2 delta_0 is a kernel vector of 2 + 2t that
+        # linca_kernel_basis would not see, so composite orders are refused
+        space = ZdSpace(1)
+        for p in (2, 3, 5):
+            assert GroupRingMatrix(space, 1, p, [[{(0,): 2, (1,): 2}]]).p == p
+        for p in (4, 6, 9):
+            with pytest.raises(ValidationError):
+                GroupRingMatrix(space, 1, p, [[{(0,): 2, (1,): 2}]])
 
     def test_muller_kernel_is_trivial(self):
         for radius in (1, 2, 3):

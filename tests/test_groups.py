@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from amenlab.errors import CapExceeded, ValidationError
-from amenlab.groups import (LamplighterElement, MarkedGroup, _free_reduce,
-                            tokenize)
+from amenlab.groups import MarkedGroup, _free_reduce, tokenize
 
 
 def letters(rank):
@@ -60,11 +59,23 @@ class TestAbelian:
 
     def test_key_counts_exponents(self):
         w = self.group.parse("x^3 y^-1 x^-1")
-        assert self.group.key(w) == (2, -1)
+        assert self.group.show(w) == "x^2 y^-1"
 
     def test_power(self):
         x = self.group.parse("x")
-        assert self.group.key(self.group.power(x, -5)) == (-5, 0)
+        assert self.group.show(self.group.power(x, -5)) == "x^-5"
+
+
+def _lamps_and_position(word):
+    """The lit lamps and the position of a word of the lamplighter group,
+    evaluated left to right: a toggles the lamp at the position, t moves."""
+    lamps, pos = set(), 0
+    for gen, sign in word:
+        if gen == 0:
+            lamps ^= {pos}
+        else:
+            pos += sign
+    return lamps, pos
 
 
 class TestLamplighter:
@@ -77,15 +88,14 @@ class TestLamplighter:
         assert not self.group.equals(self.group.power(t, 5), ())
 
     def test_element_evaluation(self):
-        w = self.group.parse("t a t a t^-3")
-        assert self.group.lamplighter_element(w) == \
-            LamplighterElement({1, 2}, -1)
+        w = self.group.parse("t^2 a t^-1 a t^-2")
+        assert _lamps_and_position(w) == ({1, 2}, -1)
+        assert self.group.show(w) == "t a t a t^-3"
 
     @given(words(2, 10))
     def test_normal_form_matches_element(self, w):
         nf = self.group.normal_form(w)
-        assert self.group.lamplighter_element(nf) == \
-            self.group.lamplighter_element(w)
+        assert _lamps_and_position(nf) == _lamps_and_position(w)
 
     def test_disjoint_lamp_toggles_commute(self):
         a = self.group.parse("a")
@@ -118,7 +128,7 @@ class TestFiniteCyclic:
         group = MarkedGroup.from_spec("zmod:2,3")
         assert group.involutions == (True, False)
         w = group.parse("x^3 y^4")
-        assert group.key(w) == (1, 1)
+        assert group.show(w) == "x y"
 
 
 def test_free_reduce_never_leaves_cancellation():

@@ -181,7 +181,7 @@ def _graph(spec):
 
 def _sym_diff_condition(gset, members, n):
     """#(F delta F s) < #F / n for every letter, on keys."""
-    for letter in gset.edge_letters():
+    for letter in gset.letters:
         translated = {gset.act(v, letter) for v in members}
         if n * len(members ^ translated) >= len(members):
             return False

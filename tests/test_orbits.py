@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from amenlab.isoperimetry import growth_series
 from amenlab.orbits import (boundary_edges, build_ball, coset_canonical,
                             coset_contains, make_gset, walk_counts)
 from amenlab.selfsim import equals_selfsim, grigorchuk
+from amenlab.walks import StepMeasure
 
 
 class TestCayleyBalls:
@@ -66,7 +68,29 @@ def test_build_ball_acts_once_per_vertex_and_letter(monkeypatch, spec,
 
     monkeypatch.setattr(orbits.MarkedGSet, "act", counted)
     graph = build_ball(gset, radius)
-    assert len(calls) == len(graph.vertices) * len(gset.edge_letters())
+    assert len(calls) == len(graph.vertices) * len(gset.letters)
+
+
+@pytest.mark.parametrize("spec", [
+    "z:1", "zmod:3,4", "free:2", "lamplighter", "dihedral", "coset:f2",
+    "cayley:grigorchuk", "cayley:basilica", "orbit:grigorchuk:depth=3",
+])
+def test_every_path_reads_letters_through_the_letter_table(spec):
+    gset = make_gset(spec)
+    graph = build_ball(gset, 1)
+    rank = len(gset.names)
+    for letter in ((rank, 1), (0, 2), (0, 0), 0, [0, 1]):
+        for call in (lambda: gset.act(gset.base_key, letter),
+                     lambda: graph.column(letter),
+                     lambda: graph.word_edges((letter,)),
+                     lambda: StepMeasure(gset, [((letter,), Fraction(1))])):
+            with pytest.raises(ValidationError):
+                call()
+    for gen, involution in enumerate(gset.involutions):
+        if involution:
+            assert graph.column((gen, -1)) == graph.column((gen, 1))
+            for key in graph.keys:
+                assert gset.act(key, (gen, -1)) == gset.act(key, (gen, 1))
 
 
 class TestSelfsimCanonicalizer:
@@ -162,7 +186,7 @@ class TestStepActions:
     def test_act_matches_the_oracle_along_random_walks(self, spec, data):
         gset = make_gset(spec)
         oracle = _oracle(spec)
-        letters = gset.edge_letters()
+        letters = gset.letters
         walk = data.draw(st.lists(st.sampled_from(letters), max_size=40))
         keys = [gset.base_key]
         for letter in walk:

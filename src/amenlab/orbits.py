@@ -311,14 +311,17 @@ class _SelfsimCanonicalizer:
     """Dedup of tree automorphisms, bucketed by their action on one level of
     the tree and decided by the exact equality oracle.
 
-    A level permutation, as bytes, names a bucket: the canonical elements
-    with that action, in insertion order.  An element is the first member
-    of its bucket that ``selfsim.equals_selfsim`` finds equal to it, or
-    joins the bucket as a new canonical element; so the level only has to
-    be deep enough to keep buckets small, and no merge is unverified.
-    Acting by a letter s on a known element g is one byte translation,
-    perm(g s) = perm_s[perm(g)], so the depth is at most 8; an element the
-    canonicalizer did not return falls back to ``selfsim.level_permutation``.
+    Two elements with the same reduced word are the same element, so a
+    dict from reduced words to canonical elements answers first; it learns
+    the word of every element looked up.  Otherwise a level permutation,
+    as bytes, names a bucket: the canonical elements with that action, in
+    insertion order.  An element is the first member of its bucket that
+    ``selfsim.equals_selfsim`` finds equal to it, or joins the bucket as a
+    new canonical element; so the level only has to be deep enough to keep
+    buckets small, and no merge is unverified.  Acting by a letter s on a
+    known element g is one byte translation, perm(g s) = perm_s[perm(g)],
+    so the depth is at most 8; an element the canonicalizer did not return
+    falls back to ``selfsim.level_permutation``.
     """
 
     def __init__(self, depth: int, elements: Dict):
@@ -328,26 +331,36 @@ class _SelfsimCanonicalizer:
                              for letter, g in elements.items()}
         self.table: Dict[bytes, List[selfsim.TreeAutomorphism]] = {}
         self.sigs: Dict[selfsim.TreeAutomorphism, bytes] = {}
+        self.words: Dict[object, selfsim.TreeAutomorphism] = {}
 
     def canon(self, g: selfsim.TreeAutomorphism) -> selfsim.TreeAutomorphism:
+        known = self.words.get(g.word)
+        if known is not None:
+            return known
         return self._lookup(g, selfsim.level_permutation(g, self.depth))
 
     def act(self, key: selfsim.TreeAutomorphism,
             letter: Letter) -> selfsim.TreeAutomorphism:
+        g = key * self.elements[letter]
+        known = self.words.get(g.word)
+        if known is not None:
+            return known
         sig = self.sigs.get(key)
         if sig is None:
             sig = selfsim.level_permutation(key, self.depth)
-        return self._lookup(key * self.elements[letter],
-                            sig.translate(self.translations[letter]))
+        return self._lookup(g, sig.translate(self.translations[letter]))
 
     def _lookup(self, g, sig: bytes) -> selfsim.TreeAutomorphism:
         bucket = self.table.setdefault(sig, [])
         for known in bucket:
             if selfsim.equals_selfsim(g, known):
-                return known
-        bucket.append(g)
-        self.sigs[g] = sig
-        return g
+                break
+        else:
+            bucket.append(g)
+            self.sigs[g] = sig
+            known = g
+        self.words[g.word] = known
+        return known
 
 
 def _make_selfsim_cayley(spec: str, family: str) -> MarkedGSet:

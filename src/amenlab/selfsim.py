@@ -13,6 +13,16 @@ returns the image of the vertex x, and (x0 x1...) g = (x0 pi_g) (x1...) g_{x0},
 with sections indexed by the input letter.  The product rule is
 (g h)_x = g_x h_{x pi_g}, pi_{g h} = pi_g pi_h.
 
+Every element stores its word reduced.  Each family states its reduction
+rule once, as a push step that multiplies a reduced word by one letter:
+in the a,b,c,d group equal letters cancel and two of b, c, d fuse to the
+third (``_grig_push``), in the basilica inverse letters cancel
+(``_basilica_push``).  Reducing a whole word folds the step.  A product
+pushes the right factor's letters onto the left factor's word, and since
+both words are reduced only the seam can cancel; an inverse reverses a
+reduced word, and sections are pushed letter by letter as the word is read,
+so neither is reduced again.
+
 Level permutations: ``level_permutation(g, d)`` is the action of g on level d
 as a sequence p of leaf indices, leaf i (the d-bit word of i, first letter
 most significant) going to leaf p[i].  Up to level 8 a level has at most 256
@@ -38,7 +48,7 @@ from array import array
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ValidationError, check_vertex_count
-from .groups import _free_reduce, tokenize
+from .groups import tokenize
 
 GRIGORCHUK = "grigorchuk"
 BASILICA = "basilica"
@@ -64,7 +74,8 @@ _GRIG_TABLE = {
 
 
 class TreeAutomorphism:
-    """A word over self-similar generators with lazy wreath decomposition."""
+    """A reduced word over self-similar generators with lazy wreath
+    decomposition."""
 
     __slots__ = ("family", "word", "_decomp")
 
@@ -74,12 +85,21 @@ class TreeAutomorphism:
                 raise ValidationError("grigorchuk words are strings over abcd")
             word = grig_reduce(word)
         elif family == BASILICA:
-            word = _basilica_reduce(tuple(word))
+            word = _basilica_reduce(word)
         else:
             raise ValidationError(f"unknown self-similar family {family!r}")
         self.family = family
         self.word = word
         self._decomp = None
+
+    @classmethod
+    def _reduced(cls, family: str, word) -> "TreeAutomorphism":
+        """An element of a word that is already validated and reduced."""
+        g = cls.__new__(cls)
+        g.family = family
+        g.word = word
+        g._decomp = None
+        return g
 
     def __repr__(self):
         return f"TreeAutomorphism({self.family}, {self.show()!r})"
@@ -104,13 +124,24 @@ class TreeAutomorphism:
     def __mul__(self, other: "TreeAutomorphism") -> "TreeAutomorphism":
         if self.family != other.family:
             raise ValidationError("cannot multiply across families")
-        return TreeAutomorphism(self.family, self.word + other.word)
+        word = list(self.word)
+        push = _PUSH[self.family]
+        right = other.word
+        for i, letter in enumerate(right):
+            size = len(word)
+            push(word, letter)
+            if len(word) >= size:
+                # the seam is closed: the letter stayed, or fused with a
+                # b, c or d that an a follows in the reduced right factor
+                word.extend(right[i + 1:])
+                break
+        return TreeAutomorphism._reduced(self.family, _JOIN[self.family](word))
 
     def inverse(self) -> "TreeAutomorphism":
         if self.family == GRIGORCHUK:
             # all four generators are involutions
-            return TreeAutomorphism(GRIGORCHUK, self.word[::-1])
-        return TreeAutomorphism(
+            return TreeAutomorphism._reduced(GRIGORCHUK, self.word[::-1])
+        return TreeAutomorphism._reduced(
             BASILICA, tuple((n, -s) for n, s in reversed(self.word))
         )
 
@@ -134,34 +165,96 @@ class WreathDecomposition:
         return f"<<{s0.show()}, {s1.show()}>> {self.root_perm}"
 
 
+# -- reduction -----------------------------------------------------------
+
+def _grig_push(word: List[str], ch: str) -> None:
+    """Multiply the reduced word ``word`` by the letter ``ch`` in place: the
+    a,b,c,d group's one reduction rule.  Equal letters cancel (all four are
+    involutions) and two of b, c, d fuse to the third; the letter under a
+    b, c or d is an a or nothing, so a fused letter needs no further step."""
+    if word:
+        top = word[-1]
+        if top == ch:
+            word.pop()
+            return
+        if top != "a" and ch != "a":
+            word[-1] = _FUSE[top, ch]
+            return
+    word.append(ch)
+
+
+class _Runs(dict):
+    """A run of b, c, d letters -> its product, at most one letter.  A run
+    of up to four letters is folded with ``_grig_push`` and kept (at most
+    121 entries); a longer run is read three letters at a time onto its
+    product so far."""
+
+    def __missing__(self, run: str) -> str:
+        if len(run) > 4:
+            value = ""
+            for i in range(0, len(run), 3):
+                value = self[value + run[i:i + 3]]
+            return value
+        word: List[str] = []
+        for ch in run:
+            _grig_push(word, ch)
+        value = self[run] = "".join(word)
+        return value
+
+
+_RUNS = _Runs()
+
+
 def grig_reduce(text: str) -> str:
-    """Reduced syllable form: cancel aa and fuse adjacent b,c,d letters."""
-    stack: list[str] = []
-    for ch in text:
-        if ch not in "abcd":
-            raise ValidationError(f"bad letter {ch!r} for the a,b,c,d group")
-        while True:
-            if not stack:
-                stack.append(ch)
-                break
-            top = stack[-1]
-            if ch == top:
-                stack.pop()
-                break
-            if ch != "a" and top != "a":
-                stack.pop()
-                ch = _FUSE[(top, ch)]
-                continue
-            stack.append(ch)
-            break
+    """Reduced syllable form: cancel aa and fuse adjacent b,c,d letters.
+
+    Each run of b, c, d letters between two a's is first replaced by its
+    product (``_RUNS``); the step then runs only where a letter meets its
+    own letter or two of b, c, d meet, and every other letter is appended.
+    """
+    bad = text.strip("abcd")
+    if bad:
+        raise ValidationError(f"bad letter {bad[0]!r} for the a,b,c,d group")
+    stack: List[str] = []
+    append = stack.append
+    for ch in "a".join(map(_RUNS.__getitem__, text.split("a"))):
+        if stack and (stack[-1] == "a") == (ch == "a"):
+            _grig_push(stack, ch)
+        else:
+            append(ch)
     return "".join(stack)
 
 
+_BASILICA_INVERSE = {(name, sign): (name, -sign)
+                     for name in _BASILICA_NAMES for sign in (1, -1)}
+_BASILICA_LETTERS = tuple(_BASILICA_INVERSE)
+
+
+def _basilica_push(word: List[Tuple[str, int]], letter) -> None:
+    """Multiply the reduced word ``word`` by ``letter`` in place: the
+    basilica's one reduction rule, free cancellation of inverse letters."""
+    if word and word[-1] == _BASILICA_INVERSE[letter]:
+        word.pop()
+    else:
+        word.append(letter)
+
+
 def _basilica_reduce(word) -> Tuple[Tuple[str, int], ...]:
-    for name, sign in word:
-        if name not in _BASILICA_NAMES or sign not in (1, -1):
-            raise ValidationError(f"bad basilica letter {(name, sign)!r}")
-    return _free_reduce(word)
+    if not isinstance(word, (tuple, list)):
+        raise ValidationError(
+            f"basilica words are letter sequences, got {word!r}")
+    stack: List[Tuple[str, int]] = []
+    for letter in word:
+        # a tuple search compares by ==, so any object is refused cleanly
+        if letter not in _BASILICA_LETTERS:
+            raise ValidationError(f"bad basilica letter {letter!r}")
+        _basilica_push(stack, letter)
+    return tuple(stack)
+
+
+# family -> its push step, and the join from a list to a stored word
+_PUSH = {GRIGORCHUK: _grig_push, BASILICA: _basilica_push}
+_JOIN = {GRIGORCHUK: "".join, BASILICA: tuple}
 
 
 def grigorchuk(text: str) -> TreeAutomorphism:
@@ -198,18 +291,20 @@ def wreath_decompose(g: TreeAutomorphism) -> WreathDecomposition:
         s0: list = []
         s1: list = []
         swap = False
-        table = _TABLES[g.family]
+        table, push = _TABLES[g.family], _PUSH[g.family]
         for letter in g.word:
             h0, h1, hswap = table[letter]
             if swap:
                 h0, h1 = h1, h0
-            s0.extend(h0)
-            s1.extend(h1)
+            for x in h0:
+                push(s0, x)
+            for x in h1:
+                push(s1, x)
             swap ^= hswap
-        join = "".join if g.family == GRIGORCHUK else tuple
+        join = _JOIN[g.family]
         g._decomp = WreathDecomposition(
-            (TreeAutomorphism(g.family, join(s0)),
-             TreeAutomorphism(g.family, join(s1))),
+            (TreeAutomorphism._reduced(g.family, join(s0)),
+             TreeAutomorphism._reduced(g.family, join(s1))),
             swap,
         )
     return g._decomp
@@ -217,9 +312,8 @@ def wreath_decompose(g: TreeAutomorphism) -> WreathDecomposition:
 
 def act_on_word(g: TreeAutomorphism, x: str) -> str:
     """Image of the tree vertex ``x`` (a word over 0/1) under ``g``."""
-    for ch in x:
-        if ch not in "01":
-            raise ValidationError(f"tree vertices are 0/1 words, got {x!r}")
+    if not isinstance(x, str) or x.strip("01"):
+        raise ValidationError(f"tree vertices are 0/1 words, got {x!r}")
     out = []
     for i, ch in enumerate(x):
         if not g.word:
@@ -352,9 +446,19 @@ class _IdentityMemo:
 _identity_memo = _IdentityMemo()
 
 
+def _swaps_root(g: TreeAutomorphism) -> bool:
+    """Whether g swaps the root: only a and a^-1 do (``_TABLES``), so this
+    is the parity of their count."""
+    if g.family == GRIGORCHUK:
+        return g.word.count("a") & 1 == 1
+    return (g.word.count(("a", 1)) + g.word.count(("a", -1))) & 1 == 1
+
+
 def _is_trivial(g: TreeAutomorphism) -> bool:
     """Whether g = 1: a depth-first search over the sections reachable from
     g, by reduced word, that fails at the first one swapping the root.
+    Whether a word swaps the root is the parity of its a letters, read
+    before the word is decomposed.
 
     Each letter's sections have at most one letter (``_TABLES``), so no
     section of g is longer than g: the visited words are finitely many and
@@ -372,10 +476,15 @@ def _is_trivial(g: TreeAutomorphism) -> bool:
         if known:
             continue
         # a one-letter word is a generator, and no generator is trivial
-        if known is False or len(h.word) == 1 or wreath_decompose(h).swap:
+        if known is False or len(h.word) == 1 or _swaps_root(h):
             _identity_memo.put(g.word, False)
             return False
-        for section in wreath_decompose(h).sections:
+        sections = wreath_decompose(h).sections
+        # both sections' root swaps are read before either is searched
+        if _swaps_root(sections[0]) or _swaps_root(sections[1]):
+            _identity_memo.put(g.word, False)
+            return False
+        for section in sections:
             if section.word and section.word not in seen:
                 seen.add(section.word)
                 stack.append(section)
@@ -452,14 +561,18 @@ def eta_norm(g: TreeAutomorphism) -> float:
 
 # -- sigma endomorphism ---------------------------------------------------
 
-_SIGMA = {"a": "aca", "b": "d", "c": "b", "d": "c"}
+_SIGMA = str.maketrans({"a": "aca", "b": "d", "c": "b", "d": "c"})
 
 
 def sigma_apply(g: TreeAutomorphism) -> TreeAutomorphism:
-    """The substitution a -> a c a, b -> d, c -> b, d -> c, letterwise."""
+    """The substitution a -> a c a, b -> d, c -> b, d -> c, letterwise.
+
+    The image of a reduced word is reduced: its a's and its b, c, d
+    letters still alternate, since a -> a c a begins and ends with a and
+    each of b, c, d goes to one of them."""
     if g.family != GRIGORCHUK:
         raise ValidationError("sigma is defined for the a,b,c,d group only")
-    return TreeAutomorphism(GRIGORCHUK, "".join(_SIGMA[ch] for ch in g.word))
+    return TreeAutomorphism._reduced(GRIGORCHUK, g.word.translate(_SIGMA))
 
 
 # -- element order ---------------------------------------------------------
@@ -480,6 +593,8 @@ def element_order(g: TreeAutomorphism, max_order: int) -> Optional[int]:
 
 def portrait(g: TreeAutomorphism, depth: int) -> dict:
     """JSON-ready portrait: root permutation plus children to ``depth``."""
+    if depth < 0:
+        raise ValidationError("depth must be >= 0")
     decomp = wreath_decompose(g)
     node = {"rootPerm": decomp.root_perm}
     if depth > 0:

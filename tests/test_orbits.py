@@ -7,13 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from amenlab import orbits
+from amenlab import orbits, selfsim
 from amenlab.errors import CapExceeded, ValidationError, vertex_budget
 from amenlab.groups import _free_reduce
 from amenlab.isoperimetry import growth_series
 from amenlab.orbits import (boundary_edges, build_ball, coset_canonical,
                             coset_contains, make_gset, walk_counts)
-from amenlab.selfsim import equals_selfsim, grigorchuk
+from amenlab.selfsim import equals_selfsim, grigorchuk, level_permutation
 from amenlab.walks import StepMeasure
 
 
@@ -115,6 +115,51 @@ class TestSelfsimCanonicalizer:
         # g b = abadad, first found in the ball as acada
         assert equals_selfsim(image, g * grigorchuk("b")).equal
         assert image.word == "acada"
+
+
+class _BucketOnlyCanonicalizer(orbits._SelfsimCanonicalizer):
+    """The canonicalizer without its word dict: every lookup goes through
+    the level-8 bucket and the exact oracle."""
+
+    def canon(self, g):
+        return self._lookup(g, level_permutation(g, self.depth))
+
+    def act(self, key, letter):
+        sig = self.sigs.get(key)
+        if sig is None:
+            sig = level_permutation(key, self.depth)
+        return self._lookup(key * self.elements[letter],
+                            sig.translate(self.translations[letter]))
+
+
+@pytest.mark.parametrize("spec,radius", [("cayley:grigorchuk", 8),
+                                         ("cayley:basilica", 5)])
+def test_word_dict_gives_the_bucket_only_ball(monkeypatch, spec, radius):
+    want = {}
+    for r in range(radius + 1):
+        want[r] = build_ball(make_gset(spec), r)
+    monkeypatch.setattr(orbits, "_SelfsimCanonicalizer",
+                        _BucketOnlyCanonicalizer)
+    for r in range(radius + 1):
+        graph = build_ball(make_gset(spec), r)
+        assert [g.word for g in graph.keys] == \
+            [g.word for g in want[r].keys]
+        assert graph.depths == want[r].depths
+        assert graph.columns == want[r].columns
+
+
+def test_exact_word_hits_skip_the_oracle(monkeypatch):
+    calls = []
+    oracle = selfsim.equals_selfsim
+
+    def counted(g, h):
+        calls.append(1)
+        return oracle(g, h)
+
+    monkeypatch.setattr(selfsim, "equals_selfsim", counted)
+    assert growth_series("grigorchuk", 7).values[-1] == 176
+    # the bucket-only lookup runs the oracle 434 times at this radius
+    assert len(calls) <= 60
 
 
 class TestCosetAction:

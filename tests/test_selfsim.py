@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from amenlab import selfsim
 from amenlab.errors import CapExceeded, ValidationError
+from amenlab.groups import _free_reduce
 from amenlab.selfsim import (ETA, TreeAutomorphism, act_on_word, basilica,
                              element_order, equals_selfsim, eta_norm,
                              grig_reduce, grigorchuk, is_identity,
@@ -340,3 +341,128 @@ def test_relators_are_trivial():
     for family, relators in _RELATORS.items():
         for r in relators:
             assert is_identity(r).equal, (family, r)
+
+
+# -- reduced words: products, inverses and sections against the old recipes --
+
+def _stack_reduce(text):
+    """The a,b,c,d reduction as one stack loop over the whole word: the
+    oracle of ``grig_reduce`` and of every product."""
+    stack = []
+    for ch in text:
+        while True:
+            if not stack:
+                stack.append(ch)
+                break
+            top = stack[-1]
+            if ch == top:
+                stack.pop()
+                break
+            if ch != "a" and top != "a":
+                stack.pop()
+                ch = selfsim._FUSE[(top, ch)]
+                continue
+            stack.append(ch)
+            break
+    return "".join(stack)
+
+
+def _whole_reduce(family, word):
+    """Reduce a whole word again, as every product did before."""
+    if family == selfsim.GRIGORCHUK:
+        return _stack_reduce(word)
+    return _free_reduce(word)
+
+
+def _old_decompose(g):
+    """Sections built as two unreduced lists, then reduced as whole words."""
+    s0, s1, swap = [], [], False
+    for letter in g.word:
+        h0, h1, hswap = selfsim._TABLES[g.family][letter]
+        if swap:
+            h0, h1 = h1, h0
+        s0.extend(h0)
+        s1.extend(h1)
+        swap ^= hswap
+    join = "".join if g.family == selfsim.GRIGORCHUK else tuple
+    return (_whole_reduce(g.family, join(s0)),
+            _whole_reduce(g.family, join(s1)), swap)
+
+
+# unreduced strings with long runs of b, c, d, so that runs of every length
+# meet the run table and its fallback
+_GRIG_TEXT = st.text(alphabet=st.sampled_from("abcd" + "bcd" * 3),
+                     max_size=40)
+_GRIG_REDUCED = _GRIG_TEXT.map(grigorchuk)
+_BASILICA_REDUCED = st.lists(
+    st.sampled_from([("a", 1), ("a", -1), ("b", 1), ("b", -1)]), max_size=30,
+).map(lambda word: TreeAutomorphism(selfsim.BASILICA, word))
+_SAME_FAMILY = st.one_of(st.tuples(_GRIG_REDUCED, _GRIG_REDUCED),
+                         st.tuples(_BASILICA_REDUCED, _BASILICA_REDUCED))
+_ANY_REDUCED = st.one_of(_GRIG_REDUCED, _BASILICA_REDUCED)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_GRIG_TEXT)
+def test_grig_reduce_matches_the_stack_loop(text):
+    assert grig_reduce(text) == _stack_reduce(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SAME_FAMILY)
+def test_product_reduces_at_the_seam(pair):
+    g, h = pair
+    assert (g * h).word == _whole_reduce(g.family, g.word + h.word)
+    # conjugates cancel across the whole seam
+    assert (g * h * g.inverse()).word == \
+        _whole_reduce(g.family, g.word + h.word + g.inverse().word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ANY_REDUCED)
+def test_inverse_is_the_reduced_reverse(g):
+    if g.family == selfsim.GRIGORCHUK:
+        reverse = g.word[::-1]
+    else:
+        reverse = tuple((n, -s) for n, s in reversed(g.word))
+    assert g.inverse().word == _whole_reduce(g.family, reverse)
+    assert (g * g.inverse()).word == (g.inverse() * g).word == g.word[:0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ANY_REDUCED)
+def test_sections_match_the_two_list_recipe(g):
+    d = wreath_decompose(g)
+    assert (d.sections[0].word, d.sections[1].word, d.swap) == \
+        _old_decompose(g)
+    assert selfsim._swaps_root(g) == d.swap
+
+
+@settings(max_examples=200, deadline=None)
+@given(_GRIG_REDUCED)
+def test_sigma_image_of_a_reduced_word_is_reduced(g):
+    image = "".join({"a": "aca", "b": "d", "c": "b", "d": "c"}[ch]
+                    for ch in g.word)
+    assert sigma_apply(g).word == _stack_reduce(image) == image
+
+
+def test_malformed_basilica_words_raise_validation_errors():
+    for word in ("ab", 5, None, [("c", 1)], [("a", 2)], [["a", 1]],
+                 [("a",)], (("a", 1), "b")):
+        with pytest.raises(ValidationError):
+            TreeAutomorphism("basilica", word)
+    assert TreeAutomorphism("basilica", [("a", 1), ("b", -1)]) == \
+        basilica("a b^-1")
+
+
+def test_portrait_rejects_a_negative_depth():
+    with pytest.raises(ValidationError):
+        portrait(grigorchuk("ab"), -1)
+    assert portrait(grigorchuk("ab"), 0) == {"rootPerm": "swap"}
+
+
+def test_grig_reduce_names_the_first_bad_letter():
+    with pytest.raises(ValidationError, match="'e'"):
+        grig_reduce("abexz")
+    with pytest.raises(ValidationError, match="'1'"):
+        grig_reduce("1ab")
